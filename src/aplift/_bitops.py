@@ -1,8 +1,15 @@
-"""Bit-twiddling helpers. Bitmaps are plain Python ints, bit i = position i."""
+"""Bit kernels, one implementation per bitmap idea.
+
+Bitmaps are plain nonnegative ints. Bit order contract: bit i of a bitmap on
+a window [lo, hi] holds lo + i, so bit 0 is the window's lowest position.
+Kernels: lsb_index, iter_bit_indices, from_indices (build), run_starts,
+smear_right, longest_run (runs), ap_starts (progression mask) and hex_head
+(repr). Bitstring text conversion lives in ``fileformats``.
+"""
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 def lsb_index(bits: int) -> int:
@@ -16,6 +23,24 @@ def iter_bit_indices(bits: int) -> Iterator[int]:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def from_indices(indices: Iterable[int], width: int) -> int:
+    """Bitmap with bit i set for each i in indices; 0 <= i < width, width >= 1.
+
+    One ASCII digit buffer parsed once: linear in the width, not O(W^2/64).
+    """
+    buf = bytearray(b"0") * width
+    top = width - 1
+    for i in indices:
+        buf[top - i] = 49  # ord("1")
+    return int(buf, 2)
+
+
+def hex_head(bits: int) -> str:
+    """Leading 16 hex digits; hex has no limit, unlike int-to-decimal on 3.11+."""
+    cut = max(0, (bits.bit_length() + 3) // 4 - 16)
+    return hex(bits >> 4 * cut) + ("..." if cut else "")
 
 
 def run_starts(bits: int, n: int) -> int:
@@ -52,3 +77,13 @@ def longest_run(bits: int) -> int:
         bits &= bits >> 1
         n += 1
     return n
+
+
+def ap_starts(bits: int, d: int, l: int) -> int:
+    """Bitmap of the positions i with bits i, i+d, ..., i+l*d all set."""
+    m = bits
+    for j in range(1, l + 1):
+        m &= bits >> (j * d)
+        if not m:
+            break
+    return m

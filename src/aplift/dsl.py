@@ -32,6 +32,10 @@ from .sets import (
 )
 
 
+# parse, evaluate and print_expr of the deepest form fit the default recursion limit
+MAX_DEPTH = 100
+
+
 class DslError(ValueError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} (line {line}, column {column})")
@@ -101,6 +105,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -127,8 +132,12 @@ class _Parser:
         handler = _FORMS.get(tok.text)
         if handler is None:
             raise DslError(f"unknown form {tok.text!r}", tok.line, tok.column)
+        if self.depth == MAX_DEPTH:
+            raise DslError(f"forms nested deeper than {MAX_DEPTH}", tok.line, tok.column)
         self.take("(")
+        self.depth += 1
         node = handler(self, tok)
+        self.depth -= 1
         self.take(")")
         return node
 

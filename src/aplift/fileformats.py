@@ -27,19 +27,17 @@ from .towers import Chain
 
 
 def _bitstring(bits: int, width: int) -> str:
-    return "".join("1" if (bits >> i) & 1 else "0" for i in range(width))
+    return bin(bits)[2:].zfill(width)[::-1]
 
 
 def _parse_bitstring(s: str, width: int, what: str) -> int:
     if len(s) != width:
         raise ValueError(f"{what}: expected {width} bits, got {len(s)}")
-    bits = 0
-    for i, ch in enumerate(s):
-        if ch == "1":
-            bits |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"{what}: invalid character {ch!r}")
-    return bits
+    # int(..., 2) alone would also take "_", "+", "-", "0b" and whitespace
+    stray = s.replace("0", "").replace("1", "")
+    if stray:
+        raise ValueError(f"{what}: invalid character {stray[0]!r}")
+    return int(s[::-1], 2)
 
 
 def _int_fields(parts: list[str], what: str) -> list[int]:
@@ -50,6 +48,25 @@ def _int_fields(parts: list[str], what: str) -> list[int]:
         except ValueError:
             raise ValueError(f"{what}: not an integer: {p!r}")
     return out
+
+
+def _table_row(line: str, T: int, what: str) -> tuple[int, ...]:
+    vals = _int_fields(line.split(), what)
+    if len(vals) != T:
+        raise ValueError(f"table row has {len(vals)} values, expected {T}")
+    return tuple(vals)
+
+
+def _header(text: str, what: str, usage: str, shape: str) -> tuple[list[str], list[str]]:
+    """Fields after the keyword and the body lines; usage is e.g. ``family M T``."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    pattern = usage.split()
+    if not lines or lines[0].split()[:1] != pattern[:1]:
+        raise ValueError(f"{what} file must start with: {usage}")
+    head = lines[0].split()
+    if len(head) != len(pattern):
+        raise ValueError(shape)
+    return head[1:], lines[1:]
 
 
 def write_intset(A: IntSet, form: str = "bitmap") -> str:
@@ -87,15 +104,9 @@ def write_set2d(B: Set2D) -> str:
 
 
 def read_set2d(text: str) -> Set2D:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("box"):
-        raise ValueError("pair-set file must start with: box ALO AHI DLO DHI")
-    head = lines[0].split()
-    if len(head) != 5:
-        raise ValueError("pair-set header needs four bounds")
-    a_lo, a_hi, d_lo, d_hi = _int_fields(head[1:], "box bounds")
-    box = Box2D(a_lo, a_hi, d_lo, d_hi)
-    rows = lines[1:]
+    fields, rows = _header(text, "pair-set", "box ALO AHI DLO DHI",
+                           "pair-set header needs four bounds")
+    box = Box2D(*_int_fields(fields, "box bounds"))
     if len(rows) != box.d_width:
         raise ValueError(f"expected {box.d_width} rows, got {len(rows)}")
     return Set2D(
@@ -111,22 +122,11 @@ def write_family(F: FuncFamily) -> str:
 
 
 def read_family(text: str) -> FuncFamily:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split()[:1] != ["family"]:
-        raise ValueError("family file must start with: family M T")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError("family header needs M and T")
-    m, T = _int_fields(head[1:], "family header")
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} table rows, got {len(lines) - 1}")
-    tables = []
-    for ln in lines[1:]:
-        vals = _int_fields(ln.split(), "family table")
-        if len(vals) != T:
-            raise ValueError(f"table row has {len(vals)} values, expected {T}")
-        tables.append(tuple(vals))
-    return FuncFamily(tuple(tables))
+    fields, rows = _header(text, "family", "family M T", "family header needs M and T")
+    m, T = _int_fields(fields, "family header")
+    if len(rows) != m:
+        raise ValueError(f"expected {m} table rows, got {len(rows)}")
+    return FuncFamily(tuple(_table_row(ln, T, "family table") for ln in rows))
 
 
 def write_family2d(F: FuncFamily2D) -> str:
@@ -138,25 +138,12 @@ def write_family2d(F: FuncFamily2D) -> str:
 
 
 def read_family2d(text: str) -> FuncFamily2D:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split()[:1] != ["family2d"]:
-        raise ValueError("family file must start with: family2d M T")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError("family2d header needs M and T")
-    m, T = _int_fields(head[1:], "family2d header")
-    if len(lines) - 1 != 2 * m:
-        raise ValueError(f"expected {2 * m} table rows, got {len(lines) - 1}")
-    pairs = []
-    for i in range(m):
-        row_pair = []
-        for ln in lines[1 + 2 * i : 3 + 2 * i]:
-            vals = _int_fields(ln.split(), "family2d table")
-            if len(vals) != T:
-                raise ValueError(f"table row has {len(vals)} values, expected {T}")
-            row_pair.append(tuple(vals))
-        pairs.append((row_pair[0], row_pair[1]))
-    return FuncFamily2D(tuple(pairs))
+    fields, rows = _header(text, "family", "family2d M T", "family2d header needs M and T")
+    m, T = _int_fields(fields, "family2d header")
+    if len(rows) != 2 * m:
+        raise ValueError(f"expected {2 * m} table rows, got {len(rows)}")
+    tables = [_table_row(ln, T, "family2d table") for ln in rows]
+    return FuncFamily2D(tuple(zip(tables[::2], tables[1::2])))
 
 
 def write_chain(chain: Chain) -> str:
@@ -166,18 +153,13 @@ def write_chain(chain: Chain) -> str:
 
 
 def read_chain(text: str) -> Chain:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split()[:1] != ["chain"]:
-        raise ValueError("chain file must start with: chain K KIND")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError("chain header needs a depth and a kind")
-    (k,) = _int_fields(head[1:2], "chain depth")
-    kind = head[2]
-    if len(lines) - 1 != 2 * k:
+    fields, lines = _header(text, "chain", "chain K KIND", "chain header needs a depth and a kind")
+    (k,) = _int_fields(fields[:1], "chain depth")
+    kind = fields[1]
+    if len(lines) != 2 * k:
         raise ValueError(f"expected {2 * k} block lines for {k} levels")
     levels = []
     for i in range(k):
-        block = "\n".join(lines[1 + 2 * i : 3 + 2 * i])
+        block = "\n".join(lines[2 * i : 2 * i + 2])
         levels.append(read_intset(block))
     return Chain(tuple(levels), kind)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from ._bitops import longest_run, lsb_index, run_starts, smear_right
+from ._bitops import iter_bit_indices, longest_run, lsb_index, run_starts, smear_right
 from .sets import IntSet
 
 BUDGET_ENV_VAR = "APLIFT_BUDGET"
@@ -72,18 +72,9 @@ def gap_profile(A: IntSet, interval: Optional[tuple[int, int]] = None) -> GapPro
     hi = lo + width - 1
     if bits == 0:
         return GapProfile(lo, hi, 0, width, 0, ())
-    xs = [lo + i for i in _indices(bits)]
+    xs = [lo + i for i in iter_bit_indices(bits)]
     gaps = sorted(b - a for a, b in zip(xs, xs[1:]))
     return GapProfile(lo, hi, len(xs), xs[0] - lo, hi - xs[-1], tuple(gaps))
-
-
-def _indices(bits: int) -> list[int]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 def is_syndetic_on(A: IntSet, interval: tuple[int, int], r: int) -> bool:

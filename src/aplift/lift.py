@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ._bitops import iter_bit_indices, lsb_index, run_starts, smear_right
+from ._bitops import ap_starts, hex_head, iter_bit_indices, lsb_index, run_starts, smear_right
 from .sets import IntSet, Window
 
 
@@ -83,6 +83,9 @@ class Set2D:
             if row < 0 or row & ~amask:
                 raise ValueError("row bits fall outside the box")
 
+    def __repr__(self) -> str:
+        return f"Set2D({self.box!r}, popcount={len(self)}, row0={hex_head(self.rows[0])})"
+
     def __contains__(self, pair: tuple[int, int]) -> bool:
         a, d = pair
         if pair not in self.box:
@@ -116,11 +119,7 @@ def ap_search(A: IntSet, l: int) -> Optional[APWitness]:
         raise ValueError("l must be >= 1")
     w = A.window
     for d in range(1, (w.width - 1) // l + 1):
-        m = A.bits
-        for j in range(1, l + 1):
-            m &= A.bits >> (j * d)
-            if not m:
-                break
+        m = ap_starts(A.bits, d, l)
         if m:
             return APWitness(w.lo + lsb_index(m), d, l)
     return None
@@ -139,11 +138,7 @@ def lift(A: IntSet, l: int, box: Box2D) -> Set2D:
     shift = box.a_lo - w.lo
     rows = []
     for d in range(box.d_lo, box.d_hi + 1):
-        m = A.bits
-        for j in range(1, l + 1):
-            m &= A.bits >> (j * d)
-            if not m:
-                break
+        m = ap_starts(A.bits, d, l)
         row = (m >> shift) if shift >= 0 else (m << -shift)
         rows.append(row & amask)
     return Set2D(box, tuple(rows))
@@ -177,6 +172,16 @@ def _subbox_miss_starts(B: Set2D, subbox: Box2D, r1: int) -> list[int]:
     return out
 
 
+def _missing_blocks(hruns: list[int], j: int, r2: int) -> int:
+    """a-positions where rows j, ..., j + r2 - 1 all start a miss run."""
+    acc = hruns[j]
+    for t in range(1, r2):
+        acc &= hruns[j + t]
+        if not acc:
+            break
+    return acc
+
+
 def is_syndetic_2d(B: Set2D, subbox: Box2D, r1: int, r2: int) -> bool:
     """True iff every aligned r1 x r2 block inside the sub-box meets B.
 
@@ -189,15 +194,7 @@ def is_syndetic_2d(B: Set2D, subbox: Box2D, r1: int, r2: int) -> bool:
     if r1 > subbox.a_width or r2 > subbox.d_width:
         return True
     hruns = _subbox_miss_starts(B, subbox, r1)
-    for j in range(len(hruns) - r2 + 1):
-        acc = hruns[j]
-        for t in range(1, r2):
-            acc &= hruns[j + t]
-            if not acc:
-                break
-        if acc:
-            return False
-    return True
+    return not any(_missing_blocks(hruns, j, r2) for j in range(len(hruns) - r2 + 1))
 
 
 def find_pws_witness_2d(
@@ -216,8 +213,7 @@ def find_pws_witness_2d(
         # no r1 x r2 block fits inside an L1 x L2 sub-box
         return Box2D(box.a_lo, box.a_lo + L1 - 1, box.d_lo, box.d_lo + L2 - 1)
 
-    amask = (1 << box.a_width) - 1
-    hruns = [run_starts(~row & amask, r1) for row in B.rows]
+    hruns = _subbox_miss_starts(B, box, r1)
     starts_mask = (1 << (box.a_width - L1 + 1)) - 1
     for j0 in range(box.d_width - L2 + 1):
         # a fully-missing block with rows in [j0, j0 + L2 - 1] starts at some
@@ -225,12 +221,7 @@ def find_pws_witness_2d(
         # a-origin whose [i, i + L1 - r1] range hits one is disqualified
         bad = 0
         for j in range(j0, j0 + L2 - r2 + 1):
-            acc = hruns[j]
-            for t in range(1, r2):
-                acc &= hruns[j + t]
-                if not acc:
-                    break
-            bad |= acc
+            bad |= _missing_blocks(hruns, j, r2)
         ok = ~smear_right(bad, L1 - r1) & starts_mask
         if ok:
             i = lsb_index(ok)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from ._bitops import iter_bit_indices
+from ._bitops import from_indices, hex_head, iter_bit_indices
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -68,16 +68,20 @@ class IntSet:
 
     @classmethod
     def from_members(cls, window: Window, members) -> "IntSet":
-        bits = 0
-        for x in members:
-            if x not in window:
-                raise ValueError(f"member {x} outside window [{window.lo}, {window.hi}]")
-            bits |= 1 << (x - window.lo)
-        return cls(window, bits)
+        def offsets() -> Iterator[int]:
+            for x in members:
+                if x not in window:
+                    raise ValueError(f"member {x} outside window [{window.lo}, {window.hi}]")
+                yield x - window.lo
+
+        return cls(window, from_indices(offsets(), window.width))
 
     @classmethod
     def full(cls, window: Window) -> "IntSet":
         return cls(window, window.mask)
+
+    def __repr__(self) -> str:
+        return f"IntSet({self.window!r}, popcount={len(self)}, bits={hex_head(self.bits)})"
 
     def __contains__(self, x: int) -> bool:
         if not isinstance(x, int) or x < self.window.lo or x > self.window.hi:
@@ -263,13 +267,8 @@ SetExpr = (
 
 
 def _ap_bits(a: int, d: int, w: Window) -> int:
-    if a > w.hi:
-        return 0
     start = a if a >= w.lo else a + ((w.lo - a + d - 1) // d) * d
-    bits = 0
-    for v in range(start, w.hi + 1, d):
-        bits |= 1 << (v - w.lo)
-    return bits
+    return from_indices(range(start - w.lo, w.width, d), w.width)
 
 
 def bernoulli_member(x: int, p: float, seed: int) -> bool:
@@ -280,11 +279,12 @@ def bernoulli_member(x: int, p: float, seed: int) -> bool:
 
 def _bernoulli_bits(p: float, seed: int, w: Window) -> int:
     threshold = int(Fraction(p) * (1 << 64))
-    bits = 0
-    for x in range(w.lo, w.hi + 1):
-        if _mix64((seed + x * _GOLDEN64) & _MASK64) < threshold:
-            bits |= 1 << (x - w.lo)
-    return bits
+    hits = (
+        x - w.lo
+        for x in range(w.lo, w.hi + 1)
+        if _mix64((seed + x * _GOLDEN64) & _MASK64) < threshold
+    )
+    return from_indices(hits, w.width)
 
 
 def ip_set(generators: Sequence[int], w: Window) -> IntSet:
@@ -297,12 +297,7 @@ def ip_set(generators: Sequence[int], w: Window) -> IntSet:
     sums = {0}
     for g in expr.generators:
         sums |= {s + g for s in sums if s + g <= w.hi}
-    sums.discard(0)
-    bits = 0
-    for s in sums:
-        if s >= w.lo:
-            bits |= 1 << (s - w.lo)
-    return IntSet(w, bits)
+    return IntSet(w, from_indices((s - w.lo for s in sums if s >= w.lo), w.width))
 
 
 def evaluate(expr: SetExpr, w: Window) -> IntSet:

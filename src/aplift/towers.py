@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._bitops import iter_bit_indices
+from ._bitops import ap_starts, iter_bit_indices
 from .jsets import FuncFamily, JWitness, jset_witness
 from .largeness import PwsWitness, find_pws_witness
 from .lift import Box2D, Set2D, lift
@@ -126,11 +126,7 @@ class ChainReport:
 
 def translate_inclusion_holds(chain: Chain, m: int, n: int, x: int) -> bool:
     """Does C_m, truncated to [1, hi - x], land inside -x + C_n?"""
-    w = chain.window
-    top = w.hi - x
-    if top < w.lo:
-        return True  # empty truncation
-    tmask = (1 << (top - w.lo + 1)) - 1
+    tmask = (1 << max(0, chain.window.width - x)) - 1  # y <= hi - x; may be empty
     target = chain.levels[n - 1].bits >> x  # bit y-lo <-> x+y in C_n
     return chain.levels[m - 1].bits & tmask & ~target == 0
 
@@ -219,15 +215,9 @@ def ap_translate_level_search(
             raise ValueError(
                 f"progression term a + {i}*b = {term} is not in level {n}"
             )
-    w = chain.window
-    top = w.hi - (a + l * b)
-    if top < w.lo:
-        return n  # empty truncation: inclusion is vacuous at every level
-    tmask = (1 << (top - w.lo + 1)) - 1
-    target = Cn.bits
-    acc = -1
-    for i in range(l + 1):
-        acc &= target >> (a + i * b)
+    # an empty truncation makes the inclusion vacuous, so level n is returned
+    tmask = (1 << max(0, chain.window.width - (a + l * b))) - 1
+    acc = ap_starts(Cn.bits, b, l) >> a  # bit y-lo <-> a+i*b+y in C_n for all i
     for N in range(n, chain.depth + 1):
         if chain.levels[N - 1].bits & tmask & ~acc == 0:
             return N

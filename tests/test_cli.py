@@ -6,6 +6,7 @@ import pytest
 
 from aplift.certificates import verify_certificate
 from aplift.cli import run_command
+from aplift.dsl import MAX_DEPTH
 from aplift.fileformats import write_chain, write_family, write_family2d, write_intset
 from aplift.jsets import FuncFamily, FuncFamily2D
 from aplift.sets import IntSet, Multiples, Window, evaluate
@@ -196,6 +197,24 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "jset", "--set", "multiples(3)", "--window", "1:30",
                        "--family", str(tmp_path / "nope.txt"))
     assert code == 2
+
+
+def test_dsl_nesting_depth_limit(capsys, tmp_path):
+    def nested(depth):
+        text = "ap(1, 2)"
+        for _ in range(depth - 1):
+            text = f"union({text}, ap(2, 3))"
+        return text
+
+    dest = tmp_path / "ap.json"
+    code, out, _ = run(capsys, "ap", "--set", nested(MAX_DEPTH), "--window", "1:40",
+                       "--len", "2", "--out", str(dest))
+    assert code == 0 and "a=1 d=1" in out
+    assert verify_certificate(json.loads(dest.read_text())) is True
+    for depth in (MAX_DEPTH + 1, 3000):
+        code, _, err = run(capsys, "ap", "--set", nested(depth), "--window", "1:40",
+                           "--len", "2")
+        assert code == 2 and f"nested deeper than {MAX_DEPTH}" in err
 
 
 def test_verify_rejects_tampered(capsys, tmp_path):

@@ -55,6 +55,29 @@ def test_intset_bad_input():
         read_intset("0 3 5\n")  # elements must be positive
 
 
+@pytest.mark.parametrize("lo", [1, 40])
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 127, 128, 129])
+def test_intset_bitmap_roundtrip_widths(lo, width):
+    w = Window(lo, lo + width - 1)
+    top = 1 << (width - 1)
+    for bits in (0, 1, top, top | 1, w.mask, evaluate(Bernoulli(0.5, width), w).bits):
+        A = IntSet(w, bits)
+        text = write_intset(A)
+        row = text.splitlines()[1]
+        assert row == "".join("1" if (bits >> i) & 1 else "0" for i in range(width))
+        assert read_intset(text) == A
+
+
+@pytest.mark.parametrize("row", ["1_0", "+10", "-10", "b10", "0b1", "10x1", "1 01"])
+def test_bitmap_row_rejects_stray_characters(row):
+    width = len(row)
+    with pytest.raises(ValueError, match="invalid character"):
+        read_set2d(f"box 1 {width} 1 1\n{row}\n")
+    if " " not in row:  # the set reader splits on whitespace
+        with pytest.raises(ValueError, match="invalid character"):
+            read_intset(f"window 1 {width}\n{row}\n")
+
+
 def test_set2d_roundtrip_bit_exact():
     A = evaluate(Bernoulli(0.55, 77), Window(1, 120))
     box = Box2D(2, 50, 1, 16)
@@ -67,6 +90,11 @@ def test_set2d_roundtrip_bit_exact():
 def test_set2d_bad_shape():
     with pytest.raises(ValueError):
         read_set2d("box 1 4 1 2\n0000\n")  # d_width = 2 rows expected, got 1
+
+
+def test_set2d_header_keyword_exact():
+    with pytest.raises(ValueError, match="must start with: box"):
+        read_set2d("boxy 1 2 1 1\n11\n")
 
 
 def test_family_roundtrip():

@@ -7,9 +7,11 @@ standalone first; frozen constants come from that run.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aplift._bitops import ap_starts
 from aplift.lift import (
     APWitness,
     Box2D,
+    Set2D,
     ap_search,
     find_pws_witness_2d,
     induced_box,
@@ -108,6 +110,24 @@ def test_ap_search_matches_brute(p, seed, l, hi):
     else:
         assert (wit.a, wit.d) == expect
         assert verify_ap(A, wit)
+
+
+@pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 130])
+def test_ap_starts_matches_brute(width):
+    A = evaluate(Bernoulli(0.7, width), Window(1, width))
+    for d in range(1, 7):
+        for l in range(1, 5):
+            expect = 0
+            for i in range(width):
+                if all((A.bits >> (i + j * d)) & 1 for j in range(l + 1)):
+                    expect |= 1 << i
+            assert ap_starts(A.bits, d, l) == expect, (d, l)
+
+
+def test_set2d_repr_of_wide_rows():
+    box = Box2D(1, 20000, 1, 2)
+    B = Set2D(box, ((1 << 20000) - 1, 0))
+    assert repr(B) == f"Set2D({box!r}, popcount=20000, row0=0xffffffffffffffff...)"
 
 
 def test_ap_search_antitone_in_l():

@@ -79,6 +79,15 @@ def test_intset_members_roundtrip():
         IntSet.from_members(w, [31])
 
 
+def test_repr_of_wide_set():
+    # decimal conversion of a 20000-bit int exceeds Python's digit limit
+    A = IntSet.full(Window(1, 20000))
+    assert repr(A) == (
+        "IntSet(Window(lo=1, hi=20000), popcount=20000, bits=0xffffffffffffffff...)"
+    )
+    assert repr(IntSet(Window(3, 9), 0b1011)) == "IntSet(Window(lo=3, hi=9), popcount=3, bits=0xb)"
+
+
 def test_intset_algebra():
     w = Window(1, 20)
     A = IntSet.from_members(w, range(2, 21, 2))
@@ -113,10 +122,19 @@ def test_ipset_size_bound():
 
 
 def test_evaluate_matches_reference():
-    w = Window(1, 96)
+    windows = (
+        Window(1, 96),
+        Window(2, 64),      # width 63
+        Window(37, 100),    # width 64
+        Window(5, 69),      # width 65
+        Window(200, 327),   # width 128
+        Window(3, 131),     # width 129
+    )
     exprs = [
         Multiples(5),
         Ap(4, 9),
+        Ap(38, 1),
+        Bernoulli(0.45, 8),
         Interval(10, 25),
         IpSet((2, 5, 11)),
         ThickBlocks(((1, 3), (10, 14), (40, 49))),
@@ -126,8 +144,11 @@ def test_evaluate_matches_reference():
         Complement(Multiples(2)),
         Union((Shift(IpSet((3, 9)), 1), Complement(Interval(1, 90)))),
     ]
-    for e in exprs:
-        assert list(evaluate(e, w).members()) == members_brute(e, w), e
+    for w in windows:
+        for e in exprs:
+            expect = members_brute(e, w)
+            assert list(evaluate(e, w).members()) == expect, (w, e)
+            assert IntSet.from_members(w, expect) == evaluate(e, w), (w, e)
 
 
 def test_shift_near_window_floor():
