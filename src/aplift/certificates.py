@@ -110,8 +110,12 @@ def inputs_for_expr(expr: SetExpr, window: Window) -> dict:
     return {"expr": print_expr(expr), "window": [window.lo, window.hi]}
 
 
+def inputs_for_set(A: IntSet) -> dict:
+    return {"set_text": write_intset(A)}
+
+
 def inputs_for_set_text(text: str) -> dict:
-    return {"set_text": write_intset(read_intset(text))}
+    return inputs_for_set(read_intset(text))
 
 
 def _resolve_set(inputs: dict) -> IntSet:

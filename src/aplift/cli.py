@@ -9,6 +9,7 @@ budget for the coloring checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -66,7 +67,7 @@ def _load_set(args) -> tuple[IntSet, dict]:
     if getattr(args, "set_file", None):
         text = Path(args.set_file).read_text()
         A = read_intset(text)
-        return A, certs.inputs_for_set_text(text)
+        return A, certs.inputs_for_set(A)
     if not getattr(args, "set", None):
         raise ValueError("need --set EXPR or --set-file PATH")
     if not getattr(args, "window", None):
@@ -262,7 +263,10 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps its results in a fresh
+    # Namespace per call and leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="aplift",
         description="largeness detectors and progression-lift witnesses on integer windows",

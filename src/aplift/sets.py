@@ -19,14 +19,15 @@ from ._bitops import from_indices, hex_head, iter_bit_indices
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _mix64(z: int) -> int:
     # splitmix64 output stage; fixed public constants keep draws identical
     # across machines and Python versions.
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -267,8 +268,15 @@ SetExpr = (
 
 
 def _ap_bits(a: int, d: int, w: Window) -> int:
-    start = a if a >= w.lo else a + ((w.lo - a + d - 1) // d) * d
-    return from_indices(range(start - w.lo, w.width, d), w.width)
+    """a, a + d, ... on the window, by shift-or doubling: O(log W) big-int ops."""
+    first = a - w.lo if a >= w.lo else (a - w.lo) % d
+    if first >= w.width:
+        return 0
+    bits, span = 1, d
+    while span < w.width - first:
+        bits |= bits << span
+        span *= 2
+    return (bits << first) & w.mask
 
 
 def bernoulli_member(x: int, p: float, seed: int) -> bool:
@@ -277,14 +285,37 @@ def bernoulli_member(x: int, p: float, seed: int) -> bool:
     return _mix64((seed + x * _GOLDEN64) & _MASK64) < threshold
 
 
+# Lane-packed splitmix64 ("SIMD within a register"): lane i of one big int
+# holds the 64-bit state of position start + i at bits [128i, 128i + 64), and
+# the upper 64 bits of each lane are headroom for the 64 x 64-bit product.
+# An xor-shift moves the low bits of lane i + 1 into the headroom of lane i,
+# so every xor-shift is masked back to 64 bits before the multiply; unmasked,
+# those stray bits times the constant would carry into lane i + 1.
+_LANES = 256
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+_LANE_MASK = _ONES * _MASK64
+_LANE_STEPS = int.from_bytes(
+    b"".join(((i * _GOLDEN64) & _MASK64).to_bytes(16, "little") for i in range(_LANES)),
+    "little",
+)
+_MISS_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"10")
+
+
 def _bernoulli_bits(p: float, seed: int, w: Window) -> int:
     threshold = int(Fraction(p) * (1 << 64))
-    hits = (
-        x - w.lo
-        for x in range(w.lo, w.hi + 1)
-        if _mix64((seed + x * _GOLDEN64) & _MASK64) < threshold
-    )
-    return from_indices(hits, w.width)
+    # after adding 2^64 - threshold, bit 64 of a lane is set iff mix >= threshold
+    bump = ((1 << 64) - threshold) * _ONES
+    base = seed + w.lo * _GOLDEN64
+    digits = []
+    for _ in range(0, w.width, _LANES):
+        z = ((base & _MASK64) * _ONES + _LANE_STEPS) & _LANE_MASK
+        z = (((z ^ (z >> 30)) & _LANE_MASK) * _MIX1) & _LANE_MASK
+        z = (((z ^ (z >> 27)) & _LANE_MASK) * _MIX2) & _LANE_MASK
+        z = ((z ^ (z >> 31)) & _LANE_MASK) + bump
+        misses = ((z >> 64) & _ONES).to_bytes(16 * _LANES, "little")[::16]
+        digits.append(misses.translate(_MISS_TO_DIGIT))
+        base += _LANES * _GOLDEN64
+    return int(b"".join(digits)[: w.width][::-1], 2)
 
 
 def ip_set(generators: Sequence[int], w: Window) -> IntSet:

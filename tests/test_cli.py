@@ -4,10 +4,17 @@ import json
 
 import pytest
 
+from aplift import certificates, cli
 from aplift.certificates import verify_certificate
 from aplift.cli import run_command
 from aplift.dsl import MAX_DEPTH
-from aplift.fileformats import write_chain, write_family, write_family2d, write_intset
+from aplift.fileformats import (
+    read_intset,
+    write_chain,
+    write_family,
+    write_family2d,
+    write_intset,
+)
 from aplift.jsets import FuncFamily, FuncFamily2D
 from aplift.sets import IntSet, Multiples, Window, evaluate
 from aplift.towers import KIND_C_SET, KIND_QUASI_CENTRAL, Chain
@@ -181,6 +188,53 @@ def test_set_file_input(capsys, tmp_path):
     sf.write_text(write_intset(A))
     code, out, _ = run(capsys, "ap", "--set-file", str(sf), "--len", "3")
     assert code == 0 and "a=2 d=2" in out
+
+
+def test_set_file_parsed_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return read_intset(text)
+
+    monkeypatch.setattr(cli, "read_intset", counting)
+    monkeypatch.setattr(certificates, "read_intset", counting)
+    A = evaluate(Multiples(3), Window(5, 200))
+    sf = tmp_path / "set.txt"
+    sf.write_text(write_intset(A))
+    dest = tmp_path / "ap.json"
+    code, _, _ = run(capsys, "ap", "--set-file", str(sf), "--len", "2", "--out", str(dest))
+    assert code == 0 and len(calls) == 1
+    cert = json.loads(dest.read_text())
+    assert cert["inputs"] == {"set_text": write_intset(A)}
+    assert verify_certificate(cert)
+
+
+def test_repeated_calls_share_no_state(capsys, tmp_path):
+    # the parser is built once per process; each call must still start clean
+    w = Window(1, 300)
+    chain = Chain(tuple(evaluate(Multiples(3 ** n), w) for n in (1, 2, 3)), KIND_C_SET)
+    chain_file = tmp_path / "chain.txt"
+    chain_file.write_text(write_chain(chain))
+    fam = tmp_path / "fam.txt"
+    fam.write_text(write_family(FuncFamily(((1, 2), (2, 4)))))
+    tower = ["tower", "--chain", str(chain_file), "--family", str(fam),
+             "--family", str(fam), "--a-max", "50", "--x-max", "9"]
+    first = run(capsys, *tower)
+    assert "family 2" in first[1] and "family 3" not in first[1]
+    assert run(capsys, *tower) == first
+
+    dest = tmp_path / "ap.json"
+    ap = ["ap", "--set", "multiples(2)", "--window", "1:100", "--len", "3"]
+    code, out, _ = run(capsys, *ap, "--out", str(dest))
+    assert code == 0 and "certificate written" in out
+    dest.unlink()
+    code, out, _ = run(capsys, *ap)
+    assert code == 0 and "certificate written" not in out and not dest.exists()
+
+    code, _, err = run(capsys, "ap", "--set", "multiples(2)", "--window", "1:100")
+    assert code == 2 and "--len" in err
+    assert run(capsys, *ap) == (0, out, "")
 
 
 def test_bad_inputs_exit_two(capsys, tmp_path):

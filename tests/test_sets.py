@@ -8,6 +8,7 @@ written; they are independent of the bitmap implementation.
 import pytest
 from hypothesis import given, strategies as st
 
+from aplift import sets
 from aplift.sets import (
     Ap,
     Bernoulli,
@@ -167,6 +168,34 @@ def test_bernoulli_deterministic():
     assert A.bits != C.bits
     assert evaluate(Bernoulli(0.0, 7), w).bits == 0
     assert evaluate(Bernoulli(1.0, 7), w).bits == IntSet.full(w).bits
+
+
+def test_bernoulli_lanes_match_member():
+    # the lane-packed builder against the scalar definition, around the chunk
+    # size and with seeds that need reducing mod 2^64
+    K = sets._LANES
+    for width in (1, 63, 64, 65, K - 1, K, K + 1, 2 * K + 1):
+        for lo in (1, 2, K + 3):
+            w = Window(lo, lo + width - 1)
+            for seed in (0, 2 ** 64 - 1, 2 ** 64 + 5, 2 ** 70):
+                for p in (0.0, 1.0, 0.5, 0.25, 1 / 3, 1 - 1e-12):
+                    expect = [x for x in range(w.lo, w.hi + 1)
+                              if bernoulli_member(x, p, seed)]
+                    got = evaluate(Bernoulli(p, seed), w)
+                    assert list(got.members()) == expect, (width, lo, seed, p)
+
+
+def test_ap_doubling_matches_brute():
+    for lo, width in ((1, 1), (1, 64), (7, 65), (100, 300), (3, 1000)):
+        w = Window(lo, lo + width - 1)
+        hi = w.hi
+        for a in (1, lo - 1 or 1, lo, lo + 1, hi - 1 or 1, hi, hi + 1, hi + 50):
+            for d in (1, 2, 3, 7, 64, width - 1 or 1, width, width + 1, 3 * width):
+                expect = [x for x in range(a, hi + 1, d) if x >= lo]
+                assert list(evaluate(Ap(a, d), w).members()) == expect, (w, a, d)
+        for k in (1, 2, 5, width, width + 3):
+            expect = [x for x in range(lo, hi + 1) if x % k == 0]
+            assert list(evaluate(Multiples(k), w).members()) == expect, (w, k)
 
 
 def test_bernoulli_density_sane():
