@@ -71,11 +71,23 @@ def smear_right(bits: int, n: int) -> int:
 
 
 def longest_run(bits: int) -> int:
-    """Length of the longest run of consecutive set bits."""
-    n = 0
-    while bits:
-        bits &= bits >> 1
-        n += 1
+    """Length of the longest run of consecutive set bits.
+
+    Doubling builds masks[k], the starts of runs of at least 2^k set bits,
+    until one is empty; greedy refinement then adds 2^k for each k downward
+    while some start still has that much more run. O(log L) big-int ops.
+    """
+    if not bits:
+        return 0
+    masks = [bits]
+    while m := masks[-1] & (masks[-1] >> (1 << (len(masks) - 1))):
+        masks.append(m)
+    starts = masks.pop()
+    n = 1 << len(masks)
+    for k in reversed(range(len(masks))):
+        longer = starts & (masks[k] >> n)
+        if longer:
+            starts, n = longer, n + (1 << k)
     return n
 
 

@@ -127,9 +127,9 @@ def _resolve_set(inputs: dict) -> IntSet:
             or not all(isinstance(v, int) for v in window)
         ):
             raise MalformedPayload("inputs.window must be [lo, hi]")
-        return evaluate(parse_dsl(inputs["expr"]).expr, Window(window[0], window[1]))
+        return evaluate(parse_dsl(_text(inputs, "expr")).expr, Window(window[0], window[1]))
     if "set_text" in inputs:
-        return read_intset(inputs["set_text"])
+        return read_intset(_text(inputs, "set_text"))
     raise MalformedPayload("inputs carry neither an expression nor a set text")
 
 
@@ -256,10 +256,36 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _int_field(obj: dict, key: str, minimum: int = 1) -> int:
+    _require(isinstance(obj, dict), f"the evidence holding {key} must be an object")
     v = obj.get(key)
     _require(isinstance(v, int) and not isinstance(v, bool), f"{key} must be an integer")
     _require(v >= minimum, f"{key} must be >= {minimum}")
     return v
+
+
+def _text(inputs: dict, key: str) -> str:
+    v = inputs.get(key)
+    _require(isinstance(v, str), f"inputs.{key} must be a text")
+    return v
+
+
+def _H_list(obj: dict) -> tuple[int, ...]:
+    H = obj.get("H")
+    _require(isinstance(H, list) and all(isinstance(t, int) for t in H), "H must be a list of integers")
+    return tuple(H)
+
+
+def _pws_holds(A: IntSet, r: int, L: int, evidence: dict, key: str) -> bool:
+    start = _int_field(evidence, key)
+    if start < A.window.lo or start + L - 1 > A.window.hi:
+        return False
+    return is_syndetic_on(A, (start, start + L - 1), r)
+
+
+def _jset_holds(A: IntSet, F: FuncFamily, a_max: int, evidence: dict) -> bool:
+    a = _int_field(evidence, "a")
+    H = _H_list(evidence)
+    return a <= a_max and verify_jwitness(A, F, JWitness(a, H))
 
 
 def verify_certificate(cert: dict, inputs: Optional[dict] = None) -> bool:
@@ -311,11 +337,7 @@ def _check_pws(inputs: dict, params: dict, witness: dict) -> bool:
     A = _resolve_set(inputs)
     r = _int_field(params, "r")
     L = _int_field(params, "L")
-    start = _int_field(witness, "start")
-    w = A.window
-    if start < w.lo or start + L - 1 > w.hi:
-        return False
-    return is_syndetic_on(A, (start, start + L - 1), r)
+    return _pws_holds(A, r, L, witness, "start")
 
 
 def _check_pws2d(inputs: dict, params: dict, witness: dict) -> bool:
@@ -342,38 +364,28 @@ def _check_pws2d(inputs: dict, params: dict, witness: dict) -> bool:
 
 def _check_jset(inputs: dict, params: dict, witness: dict) -> bool:
     A = _resolve_set(inputs)
-    _require("family" in inputs, "jset inputs need a family text")
-    F = read_family(inputs["family"])
+    F = read_family(_text(inputs, "family"))
     a_max = _int_field(params, "a_max")
-    a = _int_field(witness, "a")
-    H = witness.get("H")
-    _require(isinstance(H, list) and all(isinstance(t, int) for t in H), "H must be a list of integers")
-    if a > a_max:
-        return False
-    return verify_jwitness(A, F, JWitness(a, tuple(H)))
+    return _jset_holds(A, F, a_max, witness)
 
 
 def _check_jset2d(inputs: dict, params: dict, witness: dict) -> bool:
     A = _resolve_set(inputs)
-    _require("family2d" in inputs, "jset2d inputs need a family2d text")
-    F2D = read_family2d(inputs["family2d"])
+    F2D = read_family2d(_text(inputs, "family2d"))
     b = _int_field(params, "b")
     l = _int_field(params, "l")
     a_max = _int_field(params, "a_max")
     a1 = _int_field(witness, "a1")
     a2 = _int_field(witness, "a2")
-    H = witness.get("H")
-    _require(isinstance(H, list) and all(isinstance(t, int) for t in H), "H must be a list of integers")
+    H = _H_list(witness)
     if a1 > a_max or a2 != b * len(H):
         return False
-    return verify_transfer_witness(A, F2D, JWitness2D(a1, a2, tuple(H)), l)
+    return verify_transfer_witness(A, F2D, JWitness2D(a1, a2, H), l)
 
 
 def _check_chain(inputs: dict, params: dict, witness: dict) -> bool:
-    _require("chain" in inputs, "chain inputs need a chain text")
-    chain = read_chain(inputs["chain"])
+    chain = read_chain(_text(inputs, "chain"))
     x_max = _int_field(params, "x_max")
-    w = chain.window
 
     translate = witness.get("translate")
     _require(isinstance(translate, list), "translate table must be a list")
@@ -407,33 +419,27 @@ def _check_chain(inputs: dict, params: dict, witness: dict) -> bool:
         if len(levels) != chain.depth:
             return False
         for level_set, ev in zip(chain.levels, levels):
-            start = _int_field(ev, "pws_start")
-            if start < w.lo or start + L - 1 > w.hi:
-                return False
-            if not is_syndetic_on(level_set, (start, start + L - 1), r):
+            if not _pws_holds(level_set, r, L, ev, "pws_start"):
                 return False
     elif "a_max" in params:
         a_max = _int_field(params, "a_max")
         fam_texts = inputs.get("families")
-        _require(isinstance(fam_texts, list), "c-set inputs need family texts")
+        _require(
+            isinstance(fam_texts, list) and all(isinstance(t, str) for t in fam_texts),
+            "inputs.families must be a list of texts",
+        )
         families = [read_family(t) for t in fam_texts]
         if len(levels) != chain.depth:
             return False
         for level_set, ev in zip(chain.levels, levels):
-            wit_list = ev.get("jset")
-            _require(isinstance(wit_list, list), "level evidence must list jset witnesses")
-            if len(wit_list) != len(families):
+            _require(
+                isinstance(ev, dict) and isinstance(ev.get("jset"), list),
+                "level evidence must list jset witnesses",
+            )
+            if len(ev["jset"]) != len(families):
                 return False
-            for F, wraw in zip(families, wit_list):
-                a = _int_field(wraw, "a")
-                H = wraw.get("H")
-                _require(
-                    isinstance(H, list) and all(isinstance(t, int) for t in H),
-                    "H must be a list of integers",
-                )
-                if a > a_max:
-                    return False
-                if not verify_jwitness(level_set, F, JWitness(a, tuple(H))):
+            for F, wraw in zip(families, ev["jset"]):
+                if not _jset_holds(level_set, F, a_max, wraw):
                     return False
     elif levels:
         return False

@@ -95,9 +95,10 @@ def _cmd_analyze(args) -> int:
     print(f"window {w.lo}:{w.hi} width {w.width}")
     print(f"members {len(A)} density {A.density():.6f}")
     print(f"longest member run {longest_member_run(A)}")
-    print(f"longest miss run {longest_miss_run(A)}")
+    miss_run = longest_miss_run(A)
+    print(f"longest miss run {miss_run}")
     if len(A):
-        print(f"least r syndetic on the full window: {longest_miss_run(A) + 1}")
+        print(f"least r syndetic on the full window: {miss_run + 1}")
     else:
         print("least r syndetic on the full window: none (empty set)")
     if args.L is not None and args.r is None:
@@ -223,13 +224,12 @@ def _cmd_tower(args) -> int:
         print("verdict: FAIL")
         return EXIT_NEGATIVE
     print("verdict: PASS")
-    if report.pws_witnesses is not None:
-        _emit(args, certs.chain_certificate(chain, report, r=args.r, L=args.L))
-    else:
-        _emit(
-            args,
-            certs.chain_certificate(chain, report, a_max=args.a_max, families=families),
-        )
+    _emit(
+        args,
+        certs.chain_certificate(
+            chain, report, r=args.r, L=args.L, a_max=args.a_max, families=families
+        ),
+    )
     return EXIT_OK
 
 

@@ -1,20 +1,15 @@
 """Tiny expression language for describing sets on the command line.
 
-Grammar (whitespace-insensitive):
-
-    expr := ap(a, d) | interval(x, y) | multiples(k) | ipset(g, ...)
-          | thick(lo:hi, ...) | bernoulli(p, seed) | shift(expr, c)
-          | union(expr, ...) | intersect(expr, ...) | complement(expr)
-
-All parameters are positive integers except bernoulli's p, a decimal in
-[0, 1]. Parse errors carry the 1-based line and column of the offending
-token. ``print_expr`` emits the canonical form; parsing what it prints
-reproduces the tree exactly.
+The table ``_FORMS`` is the single source of the surface syntax (README lists
+the forms): each form's node type and argument kinds drive the parser, its
+arity errors and ``print_expr``. Whitespace is insignificant. Parse errors
+carry the 1-based line and column of the offending token. ``print_expr``
+emits the canonical form; parsing what it prints reproduces the tree exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .sets import (
@@ -118,143 +113,92 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def integer(self, what: str, minimum: int = 1) -> int:
+    def integer(self, what: str) -> int:
         tok = self.take("number")
         if "." in tok.text:
             raise DslError(f"{what} must be an integer, got {tok.text!r}", tok.line, tok.column)
         value = int(tok.text)
+        minimum = 0 if what in _NONNEGATIVE else 1
         if value < minimum:
             raise DslError(f"{what} must be >= {minimum}, got {value}", tok.line, tok.column)
         return value
 
+    def argument(self, kind: str):
+        if kind == "expr":
+            return self.expr()
+        tok = self.peek()
+        if kind == "probability":
+            self.take("number")
+            prob = float(tok.text)
+            if not 0.0 <= prob <= 1.0:
+                raise DslError(f"probability must lie in [0, 1], got {tok.text}", tok.line, tok.column)
+            return prob
+        if kind == "block":
+            lo = self.integer("block lo")
+            self.take(":")
+            hi = self.integer("block hi")
+            if hi < lo:
+                raise DslError(f"empty block [{lo}, {hi}]", tok.line, tok.column)
+            return (lo, hi)
+        return self.integer(kind)
+
     def expr(self) -> SetExpr:
         tok = self.take("name")
-        handler = _FORMS.get(tok.text)
-        if handler is None:
+        form = _FORMS.get(tok.text)
+        if form is None:
             raise DslError(f"unknown form {tok.text!r}", tok.line, tok.column)
         if self.depth == MAX_DEPTH:
             raise DslError(f"forms nested deeper than {MAX_DEPTH}", tok.line, tok.column)
         self.take("(")
         self.depth += 1
-        node = handler(self, tok)
+        node = self.arguments(tok, *form)
         self.depth -= 1
         self.take(")")
         return node
 
-    def separator(self, form: _Token, arity: str) -> None:
-        # between fixed arguments; a ')' here means too few were given
-        if self.peek().kind == ")":
-            raise DslError(f"{form.text} expects {arity}", form.line, form.column)
-        self.take(",")
+    def arguments(self, form: _Token, node_type: type, kinds: tuple) -> SetExpr:
+        values = [self.argument(kinds[0])]
+        if kinds[-1] is ...:
+            while self.peek().kind == ",":
+                self.take(",")
+                values.append(self.argument(kinds[0]))
+            return node_type(tuple(values))
+        arity = f"{form.text} expects {len(kinds)} argument" + "s" * (len(kinds) > 1)
+        for kind in kinds[1:]:
+            # a ')' where a fixed argument belongs means too few were given
+            if self.peek().kind == ")":
+                raise DslError(arity, form.line, form.column)
+            self.take(",")
+            values.append(self.argument(kind))
+        try:
+            node = node_type(*values)
+        except ValueError as e:  # a rule across arguments, such as interval lo <= hi
+            raise DslError(str(e), form.line, form.column) from None
+        if self.peek().kind == ",":
+            raise DslError(arity, form.line, form.column)
+        return node
 
 
-def _form_ap(p: _Parser, tok: _Token) -> SetExpr:
-    a = p.integer("start")
-    p.separator(tok, "2 arguments")
-    d = p.integer("step")
-    if p.peek().kind == ",":
-        raise DslError("ap expects 2 arguments", tok.line, tok.column)
-    return Ap(a, d)
-
-
-def _form_interval(p: _Parser, tok: _Token) -> SetExpr:
-    x = p.integer("interval lo")
-    p.separator(tok, "2 arguments")
-    y = p.integer("interval hi")
-    if y < x:
-        raise DslError(f"empty interval [{x}, {y}]", tok.line, tok.column)
-    if p.peek().kind == ",":
-        raise DslError("interval expects 2 arguments", tok.line, tok.column)
-    return Interval(x, y)
-
-
-def _form_multiples(p: _Parser, tok: _Token) -> SetExpr:
-    k = p.integer("modulus")
-    if p.peek().kind == ",":
-        raise DslError("multiples expects 1 argument", tok.line, tok.column)
-    return Multiples(k)
-
-
-def _form_ipset(p: _Parser, tok: _Token) -> SetExpr:
-    gens = [p.integer("generator")]
-    while p.peek().kind == ",":
-        p.take(",")
-        gens.append(p.integer("generator"))
-    return IpSet(tuple(gens))
-
-
-def _form_thick(p: _Parser, tok: _Token) -> SetExpr:
-    def block() -> tuple[int, int]:
-        lo_tok = p.peek()
-        lo = p.integer("block lo")
-        p.take(":")
-        hi = p.integer("block hi")
-        if hi < lo:
-            raise DslError(f"empty block [{lo}, {hi}]", lo_tok.line, lo_tok.column)
-        return (lo, hi)
-
-    blocks = [block()]
-    while p.peek().kind == ",":
-        p.take(",")
-        blocks.append(block())
-    return ThickBlocks(tuple(blocks))
-
-
-def _form_bernoulli(p: _Parser, tok: _Token) -> SetExpr:
-    ptok = p.take("number")
-    prob = float(ptok.text)
-    if not 0.0 <= prob <= 1.0:
-        raise DslError(f"probability must lie in [0, 1], got {ptok.text}", ptok.line, ptok.column)
-    p.separator(tok, "2 arguments")
-    seed = p.integer("seed", minimum=0)
-    if p.peek().kind == ",":
-        raise DslError("bernoulli expects 2 arguments", tok.line, tok.column)
-    return Bernoulli(prob, seed)
-
-
-def _form_shift(p: _Parser, tok: _Token) -> SetExpr:
-    child = p.expr()
-    p.separator(tok, "2 arguments")
-    c = p.integer("shift amount", minimum=0)
-    if p.peek().kind == ",":
-        raise DslError("shift expects 2 arguments", tok.line, tok.column)
-    return Shift(child, c)
-
-
-def _form_union(p: _Parser, tok: _Token) -> SetExpr:
-    children = [p.expr()]
-    while p.peek().kind == ",":
-        p.take(",")
-        children.append(p.expr())
-    return Union(tuple(children))
-
-
-def _form_intersect(p: _Parser, tok: _Token) -> SetExpr:
-    children = [p.expr()]
-    while p.peek().kind == ",":
-        p.take(",")
-        children.append(p.expr())
-    return Intersect(tuple(children))
-
-
-def _form_complement(p: _Parser, tok: _Token) -> SetExpr:
-    child = p.expr()
-    if p.peek().kind == ",":
-        raise DslError("complement expects 1 argument", tok.line, tok.column)
-    return Complement(child)
-
-
+# form name -> (node type, argument kinds); a trailing ... repeats the one kind
+# before it. An integer kind is named by its label and must be >= 1, or >= 0
+# when listed in _NONNEGATIVE.
 _FORMS = {
-    "ap": _form_ap,
-    "interval": _form_interval,
-    "multiples": _form_multiples,
-    "ipset": _form_ipset,
-    "thick": _form_thick,
-    "bernoulli": _form_bernoulli,
-    "shift": _form_shift,
-    "union": _form_union,
-    "intersect": _form_intersect,
-    "complement": _form_complement,
+    "ap": (Ap, ("start", "step")),
+    "interval": (Interval, ("interval lo", "interval hi")),
+    "multiples": (Multiples, ("modulus",)),
+    "ipset": (IpSet, ("generator", ...)),
+    "thick": (ThickBlocks, ("block", ...)),
+    "bernoulli": (Bernoulli, ("probability", "seed")),
+    "shift": (Shift, ("expr", "shift amount")),
+    "union": (Union, ("expr", ...)),
+    "intersect": (Intersect, ("expr", ...)),
+    "complement": (Complement, ("expr",)),
+}
+_NONNEGATIVE = frozenset({"seed", "shift amount"})
+# node type -> (form name, argument kinds, field names), for print_expr
+_PRINTED = {
+    node_type: (name, kinds, tuple(f.name for f in fields(node_type)))
+    for name, (node_type, kinds) in _FORMS.items()
 }
 
 
@@ -267,37 +211,28 @@ def parse_dsl(text: str) -> DslProgram:
     return DslProgram(source=text, expr=expr)
 
 
-def _format_prob(p: float) -> str:
-    s = repr(p)
-    if "e" in s or "E" in s:
+def _print_argument(kind: str, value) -> str:
+    if kind == "expr":
+        return print_expr(value)
+    if kind == "block":
+        return f"{value[0]}:{value[1]}"
+    text = repr(value)
+    if kind == "probability" and "e" in text:
         # the grammar has no exponent form; expand and trim
-        s = format(p, ".20f").rstrip("0")
-        if s.endswith("."):
-            s += "0"
-    return s
+        text = format(value, ".20f").rstrip("0")
+        if text.endswith("."):
+            text += "0"
+    return text
 
 
 def print_expr(expr: SetExpr) -> str:
     """Canonical text form; parse(print_expr(e)).expr == e."""
-    match expr:
-        case Ap(a=a, d=d):
-            return f"ap({a}, {d})"
-        case Interval(lo=lo, hi=hi):
-            return f"interval({lo}, {hi})"
-        case Multiples(k=k):
-            return f"multiples({k})"
-        case IpSet(generators=gens):
-            return f"ipset({', '.join(str(g) for g in gens)})"
-        case ThickBlocks(blocks=blocks):
-            return f"thick({', '.join(f'{lo}:{hi}' for lo, hi in blocks)})"
-        case Bernoulli(p=p, seed=seed):
-            return f"bernoulli({_format_prob(p)}, {seed})"
-        case Shift(child=child, c=c):
-            return f"shift({print_expr(child)}, {c})"
-        case Union(children=children):
-            return f"union({', '.join(print_expr(c) for c in children)})"
-        case Intersect(children=children):
-            return f"intersect({', '.join(print_expr(c) for c in children)})"
-        case Complement(child=child):
-            return f"complement({print_expr(child)})"
-    raise TypeError(f"not a set expression: {expr!r}")
+    try:
+        name, kinds, names = _PRINTED[type(expr)]
+    except KeyError:
+        raise TypeError(f"not a set expression: {expr!r}") from None
+    values = [getattr(expr, n) for n in names]
+    if kinds[-1] is ...:
+        values = values[0]
+        kinds = kinds[:1] * len(values)
+    return f"{name}({', '.join(map(_print_argument, kinds, values))})"

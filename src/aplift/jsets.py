@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Optional
 
 from ._bitops import lsb_index
+from .lift import APWitness, verify_ap
 from .sets import IntSet
 
 
@@ -54,15 +55,8 @@ class FuncFamily2D:
     def __post_init__(self) -> None:
         if not self.pairs:
             raise ValueError("family needs at least one pair")
-        T = len(self.pairs[0][0])
-        if T < 1:
-            raise ValueError("horizon must be >= 1")
-        for first, second in self.pairs:
-            if len(first) != T or len(second) != T:
-                raise ValueError("tables must share one horizon")
-            for v in first + second:
-                if not isinstance(v, int) or v < 1:
-                    raise ValueError(f"table values must be positive integers, got {v!r}")
+        # the flattened tables obey FuncFamily's rules: one horizon, positive values
+        FuncFamily(tuple(t for first, second in self.pairs for t in (first, second)))
 
     @property
     def horizon(self) -> int:
@@ -183,7 +177,7 @@ def verify_transfer_witness(
     for first, second in F2D.pairs:
         start = wit.a1 + _table_sum(first, wit.H)
         step = wit.a2 + _table_sum(second, wit.H)
-        if any(start + j * step not in A for j in range(l + 1)):
+        if not verify_ap(A, APWitness(start, step, l)):
             return False
     return True
 

@@ -15,9 +15,10 @@ from aplift.fileformats import (
     write_family2d,
     write_intset,
 )
-from aplift.jsets import FuncFamily, FuncFamily2D
+from aplift.jsets import FuncFamily, FuncFamily2D, jset_witness, transfer_witness
+from aplift.lift import ap_search
 from aplift.sets import IntSet, Multiples, Window, evaluate
-from aplift.towers import KIND_C_SET, KIND_QUASI_CENTRAL, Chain
+from aplift.towers import KIND_C_SET, KIND_QUASI_CENTRAL, Chain, check_cset, check_quasicentral
 
 
 def run(capsys, *argv):
@@ -297,3 +298,57 @@ def test_verify_semantic_failure_exit(capsys, tmp_path):
     dest.write_text(dumps_certificate(cert))
     code, out, _ = run(capsys, "verify", str(dest))
     assert code == 4 and "witness does not verify" in out
+
+
+def _cert_to_tamper(kind):
+    A = evaluate(Multiples(2), Window(1, 200))
+    F = FuncFamily(((1, 2, 3, 4), (2, 4, 6, 8)))
+    if kind == "ap":
+        return certificates.ap_certificate(certificates.inputs_for_set(A), ap_search(A, 3))
+    if kind == "ap-expr":
+        return certificates.ap_certificate(
+            certificates.inputs_for_expr(Multiples(2), A.window), ap_search(A, 3))
+    if kind == "jset":
+        return certificates.jset_certificate(
+            certificates.inputs_for_set(A), F, 10, jset_witness(A, F, 10))
+    if kind == "jset2d":
+        F2D = FuncFamily2D((((1,), (1,)),))
+        wit = transfer_witness(A, F2D, 1, 1, 64)
+        return certificates.jset2d_certificate(certificates.inputs_for_set(A), F2D, 1, 1, 64, wit)
+    w = Window(1, 400)
+    if kind == "qc":
+        chain = Chain(tuple(evaluate(Multiples(2 ** n), w) for n in (1, 2)), KIND_QUASI_CENTRAL)
+        return certificates.chain_certificate(
+            chain, check_quasicentral(chain, r=8, L=64, x_max=16), r=8, L=64)
+    chain = Chain(tuple(evaluate(Multiples(2 ** n), w) for n in (1, 2)), KIND_C_SET)
+    report = check_cset(chain, [F], a_max=40, x_max=8)
+    return certificates.chain_certificate(chain, report, a_max=40, families=[F])
+
+
+@pytest.mark.parametrize("kind, section, key, value", [
+    ("ap", "inputs", "set_text", 5),
+    ("ap", "inputs", "set_text", [1]),
+    ("ap-expr", "inputs", "expr", [1]),
+    ("jset", "inputs", "family", 5),
+    ("jset", "inputs", "family", [1]),
+    ("jset2d", "inputs", "family2d", [1]),
+    ("qc", "inputs", "chain", 5),
+    ("qc", "inputs", "chain", [1]),
+    ("cset", "inputs", "families", [5]),
+    ("cset", "inputs", "families", [[1]]),
+    ("qc", "witness", "levels", [1, 2]),
+    ("cset", "witness", "levels", [1, 2]),
+    ("cset", "witness", "levels", [{"jset": [1]}, {"jset": [1]}]),
+])
+def test_verify_tampered_types_exit_four(capsys, tmp_path, kind, section, key, value):
+    # the digests are recomputed, so only the payload checks can reject these
+    cert = _cert_to_tamper(kind)
+    assert verify_certificate(cert)
+    parts = {name: dict(cert[name]) for name in ("inputs", "params", "witness")}
+    parts[section][key] = value
+    tampered = certificates.build_certificate(
+        cert["kind"], parts["inputs"], parts["params"], parts["witness"])
+    dest = tmp_path / "tampered.json"
+    dest.write_text(certificates.dumps_certificate(tampered))
+    code, out, _ = run(capsys, "verify", str(dest))
+    assert code == 4 and out.startswith("invalid")

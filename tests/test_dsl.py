@@ -29,6 +29,9 @@ def test_parse_simple_forms():
     assert parse_dsl("thick(1:3, 10:14)").expr == ThickBlocks(((1, 3), (10, 14)))
     assert parse_dsl("bernoulli(0.25, 7)").expr == Bernoulli(0.25, 7)
     assert parse_dsl("shift(multiples(3), 2)").expr == Shift(Multiples(3), 2)
+    # seed and shift amount may be 0; every other integer must be >= 1
+    assert parse_dsl("bernoulli(0.25, 0)").expr == Bernoulli(0.25, 0)
+    assert parse_dsl("shift(multiples(3), 0)").expr == Shift(Multiples(3), 0)
 
 
 def test_parse_nested():
@@ -45,27 +48,52 @@ def test_parse_whitespace_insensitive():
     assert a == b
 
 
+# one malformed input per error path, with the message, line and column
+PARSE_ERRORS = [
+    ("ap(3)", "ap expects 2 arguments", 1, 1),
+    ("ap(3, 4, 5)", "ap expects 2 arguments", 1, 1),
+    ("interval(2)", "interval expects 2 arguments", 1, 1),
+    ("interval(2, 4, 6)", "interval expects 2 arguments", 1, 1),
+    ("multiples()", "expected 'number', got ')'", 1, 11),
+    ("multiples(2, 3)", "multiples expects 1 argument", 1, 1),
+    ("bernoulli(0.5)", "bernoulli expects 2 arguments", 1, 1),
+    ("bernoulli(0.5, 1, 2)", "bernoulli expects 2 arguments", 1, 1),
+    ("shift(multiples(2))", "shift expects 2 arguments", 1, 1),
+    ("shift(multiples(2), 1, 2)", "shift expects 2 arguments", 1, 1),
+    ("complement()", "expected 'name', got ')'", 1, 12),
+    ("complement(multiples(2), multiples(3))", "complement expects 1 argument", 1, 1),
+    ("ap(1.5, 2)", "start must be an integer, got '1.5'", 1, 4),
+    ("ipset(2, 0.5)", "generator must be an integer, got '0.5'", 1, 10),
+    ("ap(0, 2)", "start must be >= 1, got 0", 1, 4),
+    ("ap(1, 0)", "step must be >= 1, got 0", 1, 7),
+    ("interval(0, 3)", "interval lo must be >= 1, got 0", 1, 10),
+    ("interval(1, 0)", "interval hi must be >= 1, got 0", 1, 13),
+    ("multiples(0)", "modulus must be >= 1, got 0", 1, 11),
+    ("ipset(3, 0)", "generator must be >= 1, got 0", 1, 10),
+    ("thick(0:2)", "block lo must be >= 1, got 0", 1, 7),
+    ("thick(1:0)", "block hi must be >= 1, got 0", 1, 9),
+    ("bernoulli(1.5, 1)", "probability must lie in [0, 1], got 1.5", 1, 11),
+    ("interval(9, 2)", "empty interval [9, 2]", 1, 1),
+    ("interval(9, 2,", "empty interval [9, 2]", 1, 1),
+    ("thick(1:3,\n 7:4)", "empty block [7, 4]", 2, 2),
+    ("frobnicate(3)", "unknown form 'frobnicate'", 1, 1),
+    ("multiples(2) extra", "trailing input 'extra'", 1, 14),
+    ("complement(" * 101 + "multiples(2)" + ")" * 101, "forms nested deeper than 100", 1, 1101),
+    ("thick(1 2)", "expected ':', got '2'", 1, 9),
+    ("ap(1; 2)", "unexpected character ';'", 1, 5),
+    ("union(multiples(2), )", "expected 'name', got ')'", 1, 21),
+    ("union(\n  multiples(2),\n  ap(5))", "ap expects 2 arguments", 3, 3),
+    ("", "expected 'name', got 'end of input'", 1, 1),
+    ("ap(1, 2", "expected ')', got 'end of input'", 1, 8),
+]
+
+
 def test_parse_error_positions():
-    with pytest.raises(DslError) as e:
-        parse_dsl("ap(3)")
-    assert "line 1" in str(e.value) and "column 1" in str(e.value)
-    assert "2 arguments" in str(e.value)
-
-    with pytest.raises(DslError) as e:
-        parse_dsl("multiples(0)")
-    assert "column 11" in str(e.value)
-
-    with pytest.raises(DslError) as e:
-        parse_dsl("union(multiples(2), )")
-    assert "line 1" in str(e.value)
-
-    with pytest.raises(DslError) as e:
-        parse_dsl("frobnicate(3)")
-    assert "frobnicate" in str(e.value)
-
-    with pytest.raises(DslError) as e:
-        parse_dsl("multiples(2) extra")
-    assert "trailing" in str(e.value).lower()
+    for text, message, line, column in PARSE_ERRORS:
+        with pytest.raises(DslError) as e:
+            parse_dsl(text)
+        got = (str(e.value), e.value.line, e.value.column)
+        assert got == (f"{message} (line {line}, column {column})", line, column), text
 
 
 def test_parse_error_multiline_position():

@@ -144,6 +144,10 @@ def test_transfer_witness_frozen_evens():
     step = wit.a2 + 1           # f2 summed over H = {1}
     assert (start, step) == (2, 2)
     assert {start, start + step} <= set(A.members())
+    # every term counts: {2, 4} holds the 2-term progression, not the 3-term one
+    B = IntSet.from_members(Window(1, 10), [2, 4])
+    assert verify_transfer_witness(B, F2D, wit, 1)
+    assert not verify_transfer_witness(B, F2D, wit, 2)
 
 
 def test_transfer_witness_step_binding():

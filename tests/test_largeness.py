@@ -5,10 +5,12 @@ quadratic-scan script before this file was written.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aplift._bitops import longest_run
 from aplift.largeness import (
     GapProfile,
     VdwResult,
@@ -35,6 +37,29 @@ def brute_syndetic(members, lo, hi, r):
 def thick_schedule(kmax):
     blocks = tuple((k * k, k * k + k - 1) for k in range(1, kmax + 1))
     return evaluate(ThickBlocks(blocks), Window(1, kmax * kmax + kmax))
+
+
+def stepwise_longest_run(bits):
+    # one and-shift per unit of run length: quadratic, kept as the oracle
+    n = 0
+    while bits:
+        bits &= bits >> 1
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 127, 128, 129])
+def test_longest_run_matches_stepwise_oracle(width):
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    cases = [0, full, full >> 1, full ^ 1, full ^ (1 << (width - 1))]
+    cases += [full ^ (1 << i) for i in range(width)]  # two runs filling the window
+    cases += [((1 << n) - 1) << rng.randrange(width - n + 1)
+              for n in (1, 2, 3, 31, 32, 33, 63, 64, 65, width) if n <= width]
+    for p in (0.1, 0.5, 0.9, 0.98):
+        cases += [sum(1 << i for i in range(width) if rng.random() < p) for _ in range(40)]
+    for bits in cases:
+        assert longest_run(bits) == stepwise_longest_run(bits), hex(bits)
 
 
 def test_gap_profile_identity():
