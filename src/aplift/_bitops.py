@@ -44,19 +44,10 @@ def hex_head(bits: int) -> str:
 
 
 def run_starts(bits: int, n: int) -> int:
-    """Bitmap of the positions where a run of n consecutive set bits begins.
-
-    Uses shift-and-intersect doubling, so cost grows with log(n) big-int ops.
-    """
+    """Bitmap of the positions where a run of n consecutive set bits begins."""
     if n < 1:
         raise ValueError("run length must be >= 1")
-    have = 1
-    v = bits
-    while have < n and v:
-        step = min(have, n - have)
-        v &= v >> step
-        have += step
-    return v
+    return ap_starts(bits, 1, n - 1)
 
 
 def smear_right(bits: int, n: int) -> int:
@@ -92,10 +83,14 @@ def longest_run(bits: int) -> int:
 
 
 def ap_starts(bits: int, d: int, l: int) -> int:
-    """Bitmap of the positions i with bits i, i+d, ..., i+l*d all set."""
-    m = bits
-    for j in range(1, l + 1):
-        m &= bits >> (j * d)
-        if not m:
-            break
+    """Bitmap of the positions i with bits i, i+d, ..., i+l*d all set.
+
+    Shift-and-intersect doubling: once m covers k terms, m & (m >> k*d)
+    covers 2k, so cost grows with log(l) big-int ops.
+    """
+    m, have = bits, 1
+    while have <= l and m:
+        step = min(have, l + 1 - have)
+        m &= m >> (step * d)
+        have += step
     return m

@@ -9,6 +9,10 @@ any single-field edit is detectable. Serialization is sorted-key JSON with
 no floating-point values, identical bytes for identical runs apart from
 ``created``.
 
+This module only encodes and decodes claims; each check lives beside its
+search (``verify_ap``, ``verify_pws_witness``, ``verify_jwitness``,
+``verify_transfer_witness``, ``verify_chain_report``).
+
 One asymmetry is deliberate: a "vdw" certificate whose verdict is "false"
 carries the counterexample coloring and is re-checked independently, while a
 "true" verdict is a universal claim with no succinct witness, so only its
@@ -19,8 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from datetime import datetime, timezone
-from typing import Optional, Sequence
+from typing import Optional
 
 from ._version import __version__
 from .dsl import parse_dsl, print_expr
@@ -35,10 +40,10 @@ from .fileformats import (
     write_intset,
 )
 from .jsets import FuncFamily, FuncFamily2D, JWitness, JWitness2D, verify_jwitness, verify_transfer_witness
-from .largeness import VdwResult, _has_mono_ap, is_syndetic_on
-from .lift import APWitness, Box2D, Set2D, is_syndetic_2d, lift, verify_ap
+from .largeness import PwsWitness, VdwResult, _has_mono_ap, verify_pws_witness
+from .lift import APWitness, Box2D, is_syndetic_2d, lift, verify_ap
 from .sets import IntSet, SetExpr, Window, evaluate
-from .towers import Chain, ChainReport, translate_inclusion_holds
+from .towers import KIND_QUASI_CENTRAL, Chain, ChainReport, TranslateProbe, verify_chain_report
 
 SCHEMA = "aplift.cert/1"
 CERT_KINDS = ("ap", "pws", "pws2d", "jset", "jset2d", "chain", "vdw")
@@ -197,14 +202,7 @@ def jset2d_certificate(
     )
 
 
-def chain_certificate(
-    chain: Chain,
-    report: ChainReport,
-    r: Optional[int] = None,
-    L: Optional[int] = None,
-    a_max: Optional[int] = None,
-    families: Sequence[FuncFamily] = (),
-) -> dict:
+def chain_certificate(chain: Chain, report: ChainReport) -> dict:
     """Certificate for a passing chain report (failing runs have no witness)."""
     if not report.passed:
         raise ValueError("only passing chain reports are certifiable")
@@ -213,23 +211,17 @@ def chain_certificate(
     witness: dict = {
         "translate": [[p.level, p.x, p.found_level] for p in report.probes]
     }
-    if report.pws_witnesses is not None:
-        if r is None or L is None:
-            raise ValueError("quasi-central evidence needs r and L")
-        params["r"] = r
-        params["L"] = L
+    if report.kind == KIND_QUASI_CENTRAL:
+        params["r"] = report.r
+        params["L"] = report.L
         witness["levels"] = [{"pws_start": w.start} for w in report.pws_witnesses]
-    elif report.jset_witnesses is not None:
-        if a_max is None:
-            raise ValueError("c-set evidence needs a_max")
-        params["a_max"] = a_max
-        inputs["families"] = [write_family(F) for F in families]
+    else:
+        params["a_max"] = report.a_max
+        inputs["families"] = [write_family(F) for F in report.families]
         witness["levels"] = [
             {"jset": [{"a": w.a, "H": list(w.H)} for w in per_level]}
             for per_level in report.jset_witnesses
         ]
-    else:
-        witness["levels"] = []
     return build_certificate("chain", inputs, params, witness)
 
 
@@ -275,17 +267,8 @@ def _H_list(obj: dict) -> tuple[int, ...]:
     return tuple(H)
 
 
-def _pws_holds(A: IntSet, r: int, L: int, evidence: dict, key: str) -> bool:
-    start = _int_field(evidence, key)
-    if start < A.window.lo or start + L - 1 > A.window.hi:
-        return False
-    return is_syndetic_on(A, (start, start + L - 1), r)
-
-
-def _jset_holds(A: IntSet, F: FuncFamily, a_max: int, evidence: dict) -> bool:
-    a = _int_field(evidence, "a")
-    H = _H_list(evidence)
-    return a <= a_max and verify_jwitness(A, F, JWitness(a, H))
+def _jwitness(evidence: dict) -> JWitness:
+    return JWitness(_int_field(evidence, "a"), _H_list(evidence))
 
 
 def verify_certificate(cert: dict, inputs: Optional[dict] = None) -> bool:
@@ -337,7 +320,7 @@ def _check_pws(inputs: dict, params: dict, witness: dict) -> bool:
     A = _resolve_set(inputs)
     r = _int_field(params, "r")
     L = _int_field(params, "L")
-    return _pws_holds(A, r, L, witness, "start")
+    return verify_pws_witness(A, PwsWitness(r, _int_field(witness, "start"), L))
 
 
 def _check_pws2d(inputs: dict, params: dict, witness: dict) -> bool:
@@ -366,7 +349,8 @@ def _check_jset(inputs: dict, params: dict, witness: dict) -> bool:
     A = _resolve_set(inputs)
     F = read_family(_text(inputs, "family"))
     a_max = _int_field(params, "a_max")
-    return _jset_holds(A, F, a_max, witness)
+    wit = _jwitness(witness)
+    return wit.a <= a_max and verify_jwitness(A, F, wit)
 
 
 def _check_jset2d(inputs: dict, params: dict, witness: dict) -> bool:
@@ -384,66 +368,40 @@ def _check_jset2d(inputs: dict, params: dict, witness: dict) -> bool:
 
 
 def _check_chain(inputs: dict, params: dict, witness: dict) -> bool:
+    # decoded by the chain's kind, so evidence shaped for the other is malformed
     chain = read_chain(_text(inputs, "chain"))
-    x_max = _int_field(params, "x_max")
-
     translate = witness.get("translate")
     _require(isinstance(translate, list), "translate table must be a list")
-    # coverage: the recorded probes must be exactly the required ones
-    expected = []
-    for n, level in enumerate(chain.levels, start=1):
-        for x in level.members():
-            if x > x_max:
-                break
-            expected.append((n, x))
-    seen = []
     for entry in translate:
         _require(
             isinstance(entry, list) and len(entry) == 3 and all(isinstance(v, int) for v in entry),
             "translate entries must be [level, x, found_level]",
         )
-        n, x, m = entry
-        seen.append((n, x))
-        if not (1 <= n <= m <= chain.depth):
-            return False
-        if not translate_inclusion_holds(chain, m, n, x):
-            return False
-    if sorted(seen) != expected:
-        return False
-
     levels = witness.get("levels")
     _require(isinstance(levels, list), "levels evidence must be a list")
-    if "r" in params:
+    base = ChainReport(
+        chain.kind, _int_field(params, "x_max"), tuple(TranslateProbe(*e) for e in translate)
+    )
+    if chain.kind == KIND_QUASI_CENTRAL:
         r = _int_field(params, "r")
         L = _int_field(params, "L")
-        if len(levels) != chain.depth:
-            return False
-        for level_set, ev in zip(chain.levels, levels):
-            if not _pws_holds(level_set, r, L, ev, "pws_start"):
-                return False
-    elif "a_max" in params:
-        a_max = _int_field(params, "a_max")
+        pws = tuple(PwsWitness(r, _int_field(ev, "pws_start"), L) for ev in levels)
+        report = replace(base, r=r, L=L, pws_witnesses=pws)
+    else:
         fam_texts = inputs.get("families")
         _require(
             isinstance(fam_texts, list) and all(isinstance(t, str) for t in fam_texts),
             "inputs.families must be a list of texts",
         )
-        families = [read_family(t) for t in fam_texts]
-        if len(levels) != chain.depth:
-            return False
-        for level_set, ev in zip(chain.levels, levels):
+        for ev in levels:
             _require(
                 isinstance(ev, dict) and isinstance(ev.get("jset"), list),
                 "level evidence must list jset witnesses",
             )
-            if len(ev["jset"]) != len(families):
-                return False
-            for F, wraw in zip(families, ev["jset"]):
-                if not _jset_holds(level_set, F, a_max, wraw):
-                    return False
-    elif levels:
-        return False
-    return True
+        families = tuple(read_family(t) for t in fam_texts)
+        jset = tuple(tuple(map(_jwitness, ev["jset"])) for ev in levels)
+        report = replace(base, families=families, a_max=_int_field(params, "a_max"), jset_witnesses=jset)
+    return verify_chain_report(chain, report)
 
 
 def _check_vdw(inputs: dict, params: dict, witness: dict) -> bool:

@@ -29,13 +29,7 @@ from .largeness import (
 )
 from .lift import Box2D, ap_search, find_pws_witness_2d, induced_box, lift
 from .sets import IntSet, Window, evaluate
-from .towers import (
-    KIND_C_SET,
-    KIND_QUASI_CENTRAL,
-    ap_translate_level_search,
-    check_cset,
-    check_quasicentral,
-)
+from .towers import KIND_QUASI_CENTRAL, ap_translate_level_search, check_cset, check_quasicentral
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -224,12 +218,7 @@ def _cmd_tower(args) -> int:
         print("verdict: FAIL")
         return EXIT_NEGATIVE
     print("verdict: PASS")
-    _emit(
-        args,
-        certs.chain_certificate(
-            chain, report, r=args.r, L=args.L, a_max=args.a_max, families=families
-        ),
-    )
+    _emit(args, certs.chain_certificate(chain, report))
     return EXIT_OK
 
 

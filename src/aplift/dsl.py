@@ -29,6 +29,8 @@ from .sets import (
 
 # parse, evaluate and print_expr of the deepest form fit the default recursion limit
 MAX_DEPTH = 100
+# Python's default limit on int() of a decimal string (3.11+), kept on every version
+MAX_DIGITS = 4300
 
 
 class DslError(ValueError):
@@ -117,6 +119,8 @@ class _Parser:
         tok = self.take("number")
         if "." in tok.text:
             raise DslError(f"{what} must be an integer, got {tok.text!r}", tok.line, tok.column)
+        if len(tok.text) > MAX_DIGITS:
+            raise DslError(f"{what} has more than {MAX_DIGITS} digits", tok.line, tok.column)
         value = int(tok.text)
         minimum = 0 if what in _NONNEGATIVE else 1
         if value < minimum:
@@ -218,10 +222,14 @@ def _print_argument(kind: str, value) -> str:
         return f"{value[0]}:{value[1]}"
     text = repr(value)
     if kind == "probability" and "e" in text:
-        # the grammar has no exponent form; expand and trim
+        # the grammar has no exponent form; expand and trim, or where 20
+        # decimals lose digits, expand the shortest repr exactly
         text = format(value, ".20f").rstrip("0")
         if text.endswith("."):
             text += "0"
+        if float(text) != value:
+            from decimal import Decimal  # about 1 ms to import; only tiny p get here
+            text = format(Decimal(repr(value)), "f")
     return text
 
 

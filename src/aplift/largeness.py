@@ -144,6 +144,12 @@ def find_pws_witness(A: IntSet, r: int, L: int) -> Optional[PwsWitness]:
     return PwsWitness(r, w.lo + lsb_index(ok), L)
 
 
+def verify_pws_witness(A: IntSet, wit: PwsWitness) -> bool:
+    """The witness interval lies inside A's window and A is r-syndetic on it."""
+    lo, hi = wit.interval
+    return A.window.lo <= lo and hi <= A.window.hi and is_syndetic_on(A, wit.interval, wit.r)
+
+
 def min_r_for_L(A: IntSet, L: int) -> Optional[int]:
     """Least r in [1, L] admitting a pws witness of length L, None if r = L fails.
 

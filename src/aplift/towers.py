@@ -7,6 +7,10 @@ on the window truncated by x). Quasi-central candidates must in addition be
 piecewise syndetic at (r, L) on every level; c-set candidates must admit a
 J-set witness for every supplied family on every level.
 
+This module alone decides what evidence each kind needs: the checks search
+for it and record it, with its parameters, in a ``ChainReport``, and
+``verify_chain_report`` re-checks a report against the chain alone.
+
 ``ap_translate_level_search`` is the pair-level analogue: given a
 progression a, a+b, ..., a+l*b inside C_n, it finds the least deeper level N
 whose set (suitably truncated) is contained in the intersection of all l+1
@@ -16,12 +20,12 @@ consequence for lifted pair sets: B_N shifted by (a, b) lands inside B_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional, Sequence
 
 from ._bitops import ap_starts, iter_bit_indices
-from .jsets import FuncFamily, JWitness, jset_witness
-from .largeness import PwsWitness, find_pws_witness
+from .jsets import FuncFamily, JWitness, jset_witness, verify_jwitness
+from .largeness import PwsWitness, find_pws_witness, verify_pws_witness
 from .lift import Box2D, Set2D, lift
 from .sets import IntSet, Window
 
@@ -95,12 +99,19 @@ class TranslateProbe:
 
 @dataclass(frozen=True)
 class ChainReport:
+    """Translate probes plus what the chain's kind needs: r, L and a pws
+    witness per level, or the families, a_max and a J-set witness per level
+    and family. A translate-only report has no evidence and does not pass.
+    """
+
     kind: str
     x_max: int
     probes: tuple[TranslateProbe, ...]
-    # per-level piecewise-syndetic evidence (quasi-central candidates)
+    r: Optional[int] = None
+    L: Optional[int] = None
     pws_witnesses: Optional[tuple[Optional[PwsWitness], ...]] = None
-    # per-level, per-family J-set evidence (c-set candidates)
+    families: tuple[FuncFamily, ...] = ()
+    a_max: Optional[int] = None
     jset_witnesses: Optional[tuple[tuple[Optional[JWitness], ...], ...]] = None
 
     @property
@@ -109,33 +120,43 @@ class ChainReport:
 
     @property
     def evidence_ok(self) -> bool:
-        if self.pws_witnesses is not None and any(
-            w is None for w in self.pws_witnesses
-        ):
-            return False
-        if self.jset_witnesses is not None and any(
-            w is None for per_level in self.jset_witnesses for w in per_level
-        ):
-            return False
-        return True
+        if self.kind == KIND_QUASI_CENTRAL:
+            wits = self.pws_witnesses
+        else:
+            wits = self.jset_witnesses and sum(self.jset_witnesses, ())
+        return wits is not None and None not in wits
 
     @property
     def passed(self) -> bool:
         return self.translate_ok and self.evidence_ok
 
 
-def translate_inclusion_holds(chain: Chain, m: int, n: int, x: int) -> bool:
-    """Does C_m, truncated to [1, hi - x], land inside -x + C_n?"""
-    tmask = (1 << max(0, chain.window.width - x)) - 1  # y <= hi - x; may be empty
-    target = chain.levels[n - 1].bits >> x  # bit y-lo <-> x+y in C_n
-    return chain.levels[m - 1].bits & tmask & ~target == 0
+def probe_points(chain: Chain, x_max: int) -> Iterator[tuple[int, int]]:
+    """The (level, x) pairs the translate property probes: every member
+    x <= x_max of every level, by level, then by x."""
+    w = chain.window
+    cap = min(x_max, w.hi) - w.lo
+    if cap < 0:
+        return
+    for n, level in enumerate(chain.levels, start=1):
+        for i in iter_bit_indices(level.bits & ((1 << (cap + 1)) - 1)):
+            yield n, w.lo + i
 
 
-def _find_absorbing_level(chain: Chain, n: int, x: int) -> Optional[int]:
+def _first_level_inside(chain: Chain, n: int, target: int, reach: int) -> Optional[int]:
+    """Least level m in [n, depth] that lands inside target on the window
+    truncated to [lo, hi - reach] (vacuous when that is empty), or None."""
+    misses = ((1 << max(0, chain.window.width - reach)) - 1) & ~target
     for m in range(n, chain.depth + 1):
-        if translate_inclusion_holds(chain, m, n, x):
+        if not chain.levels[m - 1].bits & misses:
             return m
     return None
+
+
+def translate_inclusion_holds(chain: Chain, m: int, n: int, x: int) -> bool:
+    """Does C_m, truncated to [1, hi - x], land inside -x + C_n?"""
+    # the first level from m on that lands inside is m itself iff C_m does
+    return _first_level_inside(chain, m, chain.levels[n - 1].bits >> x, x) == m
 
 
 def check_translate_property(chain: Chain, x_max: int) -> ChainReport:
@@ -147,16 +168,11 @@ def check_translate_property(chain: Chain, x_max: int) -> ChainReport:
     w = chain.window
     if not 1 <= x_max <= w.hi:
         raise ValueError(f"x_max must lie in [1, {w.hi}]")
-    probes = []
-    for n, level in enumerate(chain.levels, start=1):
-        cap = min(x_max, w.hi) - w.lo
-        if cap < 0:
-            continue
-        low_bits = level.bits & ((1 << (cap + 1)) - 1)
-        for i in iter_bit_indices(low_bits):
-            x = w.lo + i
-            probes.append(TranslateProbe(n, x, _find_absorbing_level(chain, n, x)))
-    return ChainReport(kind=chain.kind, x_max=x_max, probes=tuple(probes))
+    probes = tuple(
+        TranslateProbe(n, x, _first_level_inside(chain, n, chain.levels[n - 1].bits >> x, x))
+        for n, x in probe_points(chain, x_max)
+    )
+    return ChainReport(kind=chain.kind, x_max=x_max, probes=probes)
 
 
 def check_quasicentral(chain: Chain, r: int, L: int, x_max: int) -> ChainReport:
@@ -165,9 +181,7 @@ def check_quasicentral(chain: Chain, r: int, L: int, x_max: int) -> ChainReport:
         raise ValueError(f"chain kind is {chain.kind!r}, not {KIND_QUASI_CENTRAL!r}")
     base = check_translate_property(chain, x_max)
     wits = tuple(find_pws_witness(level, r, L) for level in chain.levels)
-    return ChainReport(
-        kind=chain.kind, x_max=x_max, probes=base.probes, pws_witnesses=wits
-    )
+    return replace(base, r=r, L=L, pws_witnesses=wits)
 
 
 def check_cset(
@@ -184,8 +198,36 @@ def check_cset(
         tuple(jset_witness(level, F, a_max) for F in families)
         for level in chain.levels
     )
-    return ChainReport(
-        kind=chain.kind, x_max=x_max, probes=base.probes, jset_witnesses=wits
+    return replace(base, families=tuple(families), a_max=a_max, jset_witnesses=wits)
+
+
+def verify_chain_report(chain: Chain, report: ChainReport) -> bool:
+    """Re-check a report against the chain alone, without any search: the
+    kinds agree, the probes are exactly ``probe_points``, each absorbing
+    level lies in [level, depth] and absorbs, and each level's witnesses
+    hold on it at the report's (r, L), or for each family with a <= a_max.
+    Like ``verify_jwitness``, raises ValueError for H beyond a horizon.
+    """
+    if report.kind != chain.kind or not report.passed:
+        return False
+    if sorted((p.level, p.x) for p in report.probes) != list(probe_points(chain, report.x_max)):
+        return False
+    if not all(
+        p.level <= p.found_level <= chain.depth
+        and translate_inclusion_holds(chain, p.found_level, p.level, p.x)
+        for p in report.probes
+    ):
+        return False
+    if report.kind == KIND_QUASI_CENTRAL:
+        return len(report.pws_witnesses) == chain.depth and all(
+            (w.r, w.length) == (report.r, report.L) and verify_pws_witness(level, w)
+            for level, w in zip(chain.levels, report.pws_witnesses)
+        )
+    fams = report.families
+    return len(report.jset_witnesses) == chain.depth and all(
+        len(per_level) == len(fams)
+        and all(w.a <= report.a_max and verify_jwitness(level, F, w) for F, w in zip(fams, per_level))
+        for level, per_level in zip(chain.levels, report.jset_witnesses)
     )
 
 
@@ -215,13 +257,8 @@ def ap_translate_level_search(
             raise ValueError(
                 f"progression term a + {i}*b = {term} is not in level {n}"
             )
-    # an empty truncation makes the inclusion vacuous, so level n is returned
-    tmask = (1 << max(0, chain.window.width - (a + l * b))) - 1
-    acc = ap_starts(Cn.bits, b, l) >> a  # bit y-lo <-> a+i*b+y in C_n for all i
-    for N in range(n, chain.depth + 1):
-        if chain.levels[N - 1].bits & tmask & ~acc == 0:
-            return N
-    return None
+    # bit y-lo <-> a+i*b+y in C_n for all i
+    return _first_level_inside(chain, n, ap_starts(Cn.bits, b, l) >> a, a + l * b)
 
 
 def verify_lifted_translate(

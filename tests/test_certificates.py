@@ -28,7 +28,14 @@ from aplift.jsets import FuncFamily, FuncFamily2D, jset_witness, transfer_witnes
 from aplift.largeness import find_pws_witness, vdw_check
 from aplift.lift import APWitness, ap_search, find_pws_witness_2d, induced_box, lift
 from aplift.sets import Interval, Multiples, Union, Window, evaluate
-from aplift.towers import KIND_C_SET, KIND_QUASI_CENTRAL, Chain, check_cset, check_quasicentral
+from aplift.towers import (
+    KIND_C_SET,
+    KIND_QUASI_CENTRAL,
+    Chain,
+    check_cset,
+    check_quasicentral,
+    check_translate_property,
+)
 
 
 def evens_inputs(hi=100):
@@ -77,7 +84,7 @@ def make_chain_cert_qc():
                   KIND_QUASI_CENTRAL)
     report = check_quasicentral(chain, r=8, L=64, x_max=16)
     assert report.passed
-    return chain_certificate(chain, report, r=8, L=64)
+    return chain_certificate(chain, report)
 
 
 def make_chain_cert_cset():
@@ -86,7 +93,7 @@ def make_chain_cert_cset():
     F = FuncFamily(((1, 2, 3, 4), (2, 4, 6, 8)))
     report = check_cset(chain, [F], a_max=40, x_max=8)
     assert report.passed
-    return chain_certificate(chain, report, a_max=40, families=[F])
+    return chain_certificate(chain, report)
 
 
 def make_vdw_true_cert():
@@ -229,7 +236,13 @@ def test_chain_certificate_requires_pass():
     report = check_cset(chain, [F], a_max=50, x_max=9)
     assert not report.passed
     with pytest.raises(ValueError):
-        chain_certificate(chain, report, a_max=50, families=[F])
+        chain_certificate(chain, report)
+    # a translate-only report carries no evidence of its kind
+    chain = Chain(chain.levels, KIND_QUASI_CENTRAL)
+    report = check_translate_property(chain, x_max=9)
+    assert report.translate_ok
+    with pytest.raises(ValueError):
+        chain_certificate(chain, report)
 
 
 def test_vdw_certificate_requires_decision():

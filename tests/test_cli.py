@@ -319,10 +319,9 @@ def _cert_to_tamper(kind):
     if kind == "qc":
         chain = Chain(tuple(evaluate(Multiples(2 ** n), w) for n in (1, 2)), KIND_QUASI_CENTRAL)
         return certificates.chain_certificate(
-            chain, check_quasicentral(chain, r=8, L=64, x_max=16), r=8, L=64)
+            chain, check_quasicentral(chain, r=8, L=64, x_max=16))
     chain = Chain(tuple(evaluate(Multiples(2 ** n), w) for n in (1, 2)), KIND_C_SET)
-    report = check_cset(chain, [F], a_max=40, x_max=8)
-    return certificates.chain_certificate(chain, report, a_max=40, families=[F])
+    return certificates.chain_certificate(chain, check_cset(chain, [F], a_max=40, x_max=8))
 
 
 @pytest.mark.parametrize("kind, section, key, value", [
@@ -350,5 +349,32 @@ def test_verify_tampered_types_exit_four(capsys, tmp_path, kind, section, key, v
         cert["kind"], parts["inputs"], parts["params"], parts["witness"])
     dest = tmp_path / "tampered.json"
     dest.write_text(certificates.dumps_certificate(tampered))
+    code, out, _ = run(capsys, "verify", str(dest))
+    assert code == 4 and out.startswith("invalid")
+
+
+@pytest.mark.parametrize("forgery", [
+    "qc-without-evidence",
+    "qc-with-cset-evidence",
+    "cset-with-pws-evidence",
+    "wrong-level-count",
+])
+def test_verify_forged_chain_evidence_exit_four(capsys, tmp_path, forgery):
+    # both chains have the levels multiples(2), multiples(4) on 1:400; the
+    # digests are recomputed, so only the re-check by chain kind can reject
+    qc, cs = _cert_to_tamper("qc"), _cert_to_tamper("cset")
+    if forgery == "qc-without-evidence":
+        parts = (qc["inputs"], {"x_max": qc["params"]["x_max"]},
+                 {**qc["witness"], "levels": []})
+    elif forgery == "qc-with-cset-evidence":
+        parts = ({**cs["inputs"], "chain": qc["inputs"]["chain"]}, cs["params"], cs["witness"])
+    elif forgery == "cset-with-pws-evidence":
+        parts = ({"chain": cs["inputs"]["chain"]}, qc["params"], qc["witness"])
+    else:
+        parts = (qc["inputs"], qc["params"],
+                 {**qc["witness"], "levels": qc["witness"]["levels"][:-1]})
+    forged = certificates.build_certificate("chain", *parts)
+    dest = tmp_path / "forged.json"
+    dest.write_text(certificates.dumps_certificate(forged))
     code, out, _ = run(capsys, "verify", str(dest))
     assert code == 4 and out.startswith("invalid")

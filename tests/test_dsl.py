@@ -85,6 +85,7 @@ PARSE_ERRORS = [
     ("union(\n  multiples(2),\n  ap(5))", "ap expects 2 arguments", 3, 3),
     ("", "expected 'name', got 'end of input'", 1, 1),
     ("ap(1, 2", "expected ')', got 'end of input'", 1, 8),
+    ("multiples(" + "9" * 4301 + ")", "modulus has more than 4300 digits", 1, 11),
 ]
 
 
@@ -113,6 +114,16 @@ def test_print_parse_fixpoint_known():
         Bernoulli(1e-05, 3),  # repr would print exponent form
     ]
     for e in exprs:
+        assert parse_dsl(print_expr(e)).expr == e, e
+    assert print_expr(Bernoulli(1e-05, 3)) == "bernoulli(0.00001, 3)"
+
+
+def test_print_parse_fixpoint_small_probabilities():
+    # below 1e-4 repr uses exponent form, and 20 decimals can drop digits
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        b = Bernoulli(rng.random() ** rng.randint(1, 60), rng.randint(0, 1000))
+        e = Union((b, b))
         assert parse_dsl(print_expr(e)).expr == e, e
 
 

@@ -114,14 +114,17 @@ def test_ap_search_matches_brute(p, seed, l, hi):
 
 @pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 130])
 def test_ap_starts_matches_brute(width):
-    A = evaluate(Bernoulli(0.7, width), Window(1, width))
-    for d in range(1, 7):
-        for l in range(1, 5):
-            expect = 0
-            for i in range(width):
-                if all((A.bits >> (i + j * d)) & 1 for j in range(l + 1)):
-                    expect |= 1 << i
-            assert ap_starts(A.bits, d, l) == expect, (d, l)
+    w = Window(1, width)
+    # sparse, dense and full bitmaps; l+1 = 2^k +- 1 lands between doublings
+    for bits in (evaluate(Bernoulli(0.7, width), w).bits,
+                 evaluate(Bernoulli(0.97, width), w).bits, w.mask):
+        for d in range(1, width + 1):
+            for l in (1, 2, 3, 4, 6, 8, 14, 16, 30, 32, 40):
+                expect = 0
+                for i in range(width):
+                    if all((bits >> (i + j * d)) & 1 for j in range(l + 1)):
+                        expect |= 1 << i
+                assert ap_starts(bits, d, l) == expect, (d, l)
 
 
 def test_set2d_repr_of_wide_rows():

@@ -1,5 +1,7 @@
 """Decreasing chains, the translate property, and its lift to pair space."""
 
+from dataclasses import replace
+
 import pytest
 
 from aplift.jsets import FuncFamily
@@ -17,6 +19,7 @@ from aplift.towers import (
     check_translate_property,
     lift_chain,
     translate_inclusion_holds,
+    verify_chain_report,
     verify_lifted_translate,
 )
 
@@ -87,6 +90,8 @@ def test_check_quasicentral_powers():
     assert report.kind == KIND_QUASI_CENTRAL
     assert report.translate_ok and report.evidence_ok and report.passed
     assert all(wit is not None for wit in report.pws_witnesses)
+    assert (report.r, report.L) == (32, 256)
+    assert verify_chain_report(c, report)
     with pytest.raises(ValueError):
         check_quasicentral(power_chain(2, 2, 64, KIND_C_SET), 2, 8, 4)
 
@@ -96,6 +101,7 @@ def test_check_quasicentral_witness_matches_direct():
     report = check_quasicentral(c, r=27, L=81, x_max=27)
     for level, wit in zip(c.levels, report.pws_witnesses):
         assert wit == find_pws_witness(level, 27, 81)
+    assert report.passed and verify_chain_report(c, report)
 
 
 def test_check_cset_passes_with_reachable_family():
@@ -105,6 +111,8 @@ def test_check_cset_passes_with_reachable_family():
     assert report.kind == KIND_C_SET
     assert report.passed
     assert all(w is not None for per in report.jset_witnesses for w in per)
+    assert report.families == (F,) and report.a_max == 40
+    assert verify_chain_report(c, report)
 
 
 def test_check_cset_frozen_failure_at_level_two():
@@ -127,6 +135,7 @@ def test_check_cset_translate_only():
     assert report.jset_witnesses == ((), (), ())  # one empty row per level
     assert report.evidence_ok
     assert report.passed == report.translate_ok
+    assert verify_chain_report(c, report)
 
 
 def test_ap_translate_level_search_powers():
@@ -219,3 +228,76 @@ def test_report_shapes():
     assert isinstance(report.probes[0], TranslateProbe)
     assert report.x_max == 8
     assert report.jset_witnesses is None
+    assert verify_chain_report(c, report)
+
+
+def test_translate_only_report_does_not_pass():
+    # the kind's evidence was never sought, so there is nothing to certify
+    c = power_chain(2, 3, 128)
+    report = check_translate_property(c, x_max=16)
+    assert report.translate_ok and not report.evidence_ok and not report.passed
+    assert not verify_chain_report(c, report)
+
+
+def test_verify_chain_report_rejects_forged_reports():
+    c = power_chain(2, 3, 256)
+    report = check_quasicentral(c, r=8, L=64, x_max=16)
+    assert verify_chain_report(c, report)
+    # a required probe goes missing, or one is recorded twice
+    assert not verify_chain_report(c, replace(report, probes=report.probes[:-1]))
+    assert not verify_chain_report(c, replace(report, probes=report.probes + report.probes[-1:]))
+    # the kinds must agree, and the evidence must be the chain kind's
+    other = Chain(c.levels, KIND_C_SET)
+    assert not verify_chain_report(other, report)
+    assert not verify_chain_report(other, replace(report, kind=KIND_C_SET))
+    # a pws witness at another (r, L), or one whose interval leaves the window
+    wits = report.pws_witnesses
+    assert not verify_chain_report(c, replace(report, r=4))
+    off = replace(wits[0], start=c.window.hi - 62)
+    assert not verify_chain_report(c, replace(report, pws_witnesses=(off,) + wits[1:]))
+    # one witness short
+    assert not verify_chain_report(c, replace(report, pws_witnesses=wits[:-1]))
+
+
+def test_verify_chain_report_rejects_found_level_below_level():
+    # equal levels: level 1 satisfies the inclusion a level-2 probe asks for,
+    # but an absorbing level must lie in [level, depth]
+    w = Window(1, 64)
+    evens = evaluate(Multiples(2), w)
+    c = Chain((evens, evens), KIND_QUASI_CENTRAL)
+    report = check_quasicentral(c, r=2, L=16, x_max=8)
+    assert verify_chain_report(c, report)
+    i = next(i for i, p in enumerate(report.probes) if p.level == 2)
+    p = report.probes[i]
+    assert translate_inclusion_holds(c, 1, p.level, p.x)
+    for m in (1, 0, 3):
+        probes = report.probes[:i] + (replace(p, found_level=m),) + report.probes[i + 1:]
+        assert not verify_chain_report(c, replace(report, probes=probes))
+
+
+def test_verify_chain_report_rejects_level_that_does_not_absorb():
+    # x = 1 at level 1 first absorbs at level 2: 1 + 1 is not in C_1
+    w = Window(1, 20)
+    c = Chain((IntSet.from_members(w, [1, *range(11, 21)]),
+               IntSet.from_members(w, range(11, 21))), KIND_QUASI_CENTRAL)
+    report = check_quasicentral(c, r=10, L=10, x_max=20)
+    assert report.passed and verify_chain_report(c, report)
+    assert report.probes[0] == TranslateProbe(1, 1, 2)
+    forged = (TranslateProbe(1, 1, 1),) + report.probes[1:]
+    assert not verify_chain_report(c, replace(report, probes=forged))
+
+
+def test_verify_chain_report_rejects_witness_from_another_level():
+    c = power_chain(2, 2, 400, KIND_C_SET)
+    F = FuncFamily(((1, 2, 3, 4), (2, 4, 6, 8)))
+    report = check_cset(c, [F], a_max=40, x_max=16)
+    assert verify_chain_report(c, report)
+    (w1,), (w2,) = report.jset_witnesses
+    assert w1 != w2
+    # level 2 lies inside level 1, so only the shallow witness fails to move down
+    assert verify_chain_report(c, replace(report, jset_witnesses=((w2,), (w2,))))
+    assert not verify_chain_report(c, replace(report, jset_witnesses=((w1,), (w1,))))
+    # a witness beyond a_max, a family with no witness, a level with none
+    assert not verify_chain_report(c, replace(report, a_max=w2.a - 1))
+    assert not verify_chain_report(c, replace(report, families=(F, F)))
+    assert not verify_chain_report(c, replace(report, jset_witnesses=((w1,),)))
