@@ -9,9 +9,13 @@ any single-field edit is detectable. Serialization is sorted-key JSON with
 no floating-point values, identical bytes for identical runs apart from
 ``created``.
 
-This module only encodes and decodes claims; each check lives beside its
-search (``verify_ap``, ``verify_pws_witness``, ``verify_jwitness``,
-``verify_transfer_witness``, ``verify_chain_report``).
+The table ``_CLAIMS`` is the single source of the certificate kinds (README
+lists them): each kind's row names its input keys, its parameter and witness
+fields, its truncation notes and the verifier that re-checks it, which lives
+beside the kind's search. The builders place their values by the rows, and
+``verify_certificate`` decodes each field by its name through ``_FIELDS``;
+this module holds no semantic check of its own. Only the evidence that a
+chain's kind adds is written and read by hand.
 
 One asymmetry is deliberate: a "vdw" certificate whose verdict is "false"
 carries the counterexample coloring and is re-checked independently, while a
@@ -25,7 +29,7 @@ import hashlib
 import json
 from dataclasses import replace
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from ._version import __version__
 from .dsl import parse_dsl, print_expr
@@ -39,27 +43,47 @@ from .fileformats import (
     write_family2d,
     write_intset,
 )
-from .jsets import FuncFamily, FuncFamily2D, JWitness, JWitness2D, verify_jwitness, verify_transfer_witness
-from .largeness import PwsWitness, VdwResult, _has_mono_ap, verify_pws_witness
-from .lift import APWitness, Box2D, is_syndetic_2d, lift, verify_ap
+from .jsets import FuncFamily, FuncFamily2D, JWitness, JWitness2D, verify_jset_claim, verify_transfer_claim
+from .largeness import PwsWitness, VdwResult, verify_pws_claim, verify_vdw_claim
+from .lift import APWitness, Box2D, verify_ap_claim, verify_pws2d_claim
 from .sets import IntSet, SetExpr, Window, evaluate
 from .towers import KIND_QUASI_CENTRAL, Chain, ChainReport, TranslateProbe, verify_chain_report
 
 SCHEMA = "aplift.cert/1"
-CERT_KINDS = ("ap", "pws", "pws2d", "jset", "jset2d", "chain", "vdw")
 
-_TRUNCATION_NOTES = {
-    "ap": [],
-    "pws": [],
-    "pws2d": ["pairs whose progression leaves the window are excluded from the lift"],
-    "jset": ["sums landing outside the window count as non-members"],
-    "jset2d": [
-        "sums landing outside the window count as non-members",
-        "pairs whose progression leaves the window are excluded from the lift",
-    ],
-    "chain": ["translate inclusions are checked on the window truncated by each shift"],
-    "vdw": [],
+
+class _Claim(NamedTuple):
+    inputs: tuple[str, ...]  # "set" stands for expr and window, or set_text
+    params: tuple[str, ...]
+    witness: tuple[str, ...]
+    truncation: tuple[str, ...]
+    verify: Callable[..., bool]  # takes the decoded fields in row order
+    recorded: tuple[str, ...] = ()  # witness fields written for the reader only
+
+
+_SUMS = "sums landing outside the window count as non-members"
+_CLIPPED = "pairs whose progression leaves the window are excluded from the lift"
+_SHIFTED = "translate inclusions are checked on the window truncated by each shift"
+_CLAIMS = {
+    "ap": _Claim(("set",), ("l",), ("a", "d"), (), verify_ap_claim),
+    "pws": _Claim(("set",), ("r", "L"), ("start",), (), verify_pws_claim),
+    "pws2d": _Claim(
+        ("set",), ("l", "box", "r1", "r2", "L1", "L2"), ("a0", "d0"), (_CLIPPED,), verify_pws2d_claim
+    ),
+    "jset": _Claim(("set", "family"), ("a_max",), ("a", "H"), (_SUMS,), verify_jset_claim),
+    "jset2d": _Claim(
+        ("set", "family2d"), ("b", "l", "a_max"), ("a1", "a2", "H"), (_SUMS, _CLIPPED),
+        verify_transfer_claim,
+    ),
+    # the chain's kind adds r and L, or families and a_max, and shapes the
+    # levels; _chain_report turns them into the report the verifier takes
+    "chain": _Claim(("chain",), ("x_max",), ("translate", "levels"), (_SHIFTED,), verify_chain_report),
+    "vdw": _Claim(
+        ("n", "colors", "ap_len"), (), ("verdict", "coloring"), (), verify_vdw_claim,
+        recorded=("strategy", "explored"),
+    ),
 }
+CERT_KINDS = tuple(_CLAIMS)
 
 
 class CertificateError(Exception):
@@ -96,7 +120,7 @@ def build_certificate(kind: str, inputs: dict, params: dict, witness: dict) -> d
         "inputs": inputs,
         "params": params,
         "witness": witness,
-        "truncation": list(_TRUNCATION_NOTES[kind]),
+        "truncation": list(_CLAIMS[kind].truncation),
         "input_digest": _sha(canonical_json(inputs)),
     }
     body["digest"] = _sha(canonical_json(body))
@@ -123,32 +147,95 @@ def inputs_for_set_text(text: str) -> dict:
     return inputs_for_set(read_intset(text))
 
 
-def _resolve_set(inputs: dict) -> IntSet:
-    if "expr" in inputs:
-        window = inputs.get("window")
-        if (
-            not isinstance(window, list)
-            or len(window) != 2
-            or not all(isinstance(v, int) for v in window)
-        ):
-            raise MalformedPayload("inputs.window must be [lo, hi]")
-        return evaluate(parse_dsl(_text(inputs, "expr")).expr, Window(window[0], window[1]))
-    if "set_text" in inputs:
-        return read_intset(_text(inputs, "set_text"))
-    raise MalformedPayload("inputs carry neither an expression nor a set text")
+# --- fields ------------------------------------------------------------------
+
+
+def _is_text(v) -> bool:
+    return isinstance(v, str)
+
+
+def _is_ints(v, length: Optional[int] = None) -> bool:
+    return isinstance(v, list) and length in (None, len(v)) and all(isinstance(t, int) for t in v)
+
+
+class _Field(NamedTuple):
+    what: str  # the shape the JSON value must have, for the error message
+    accepts: Callable[[object], bool]
+    decode: Optional[Callable] = None  # None keeps the JSON value as it is
+
+
+_POSITIVE = _Field(
+    "an integer >= 1", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1
+)
+_FIELDS = {
+    **dict.fromkeys(
+        ("l", "a", "d", "r", "L", "start", "r1", "r2", "L1", "L2", "a0", "d0", "a_max", "b",
+         "a1", "a2", "x_max", "pws_start", "n", "colors", "ap_len"),
+        _POSITIVE,
+    ),
+    "H": _Field("a list of integers", _is_ints, tuple),
+    "box": _Field("[a_lo, a_hi, d_lo, d_hi]", lambda v: _is_ints(v, 4), lambda v: Box2D(*v)),
+    "expr": _Field("a text", _is_text, lambda v: parse_dsl(v).expr),
+    "window": _Field("[lo, hi]", lambda v: _is_ints(v, 2), lambda v: Window(*v)),
+    "set_text": _Field("a text", _is_text, read_intset),
+    "family": _Field("a text", _is_text, read_family),
+    "family2d": _Field("a text", _is_text, read_family2d),
+    "chain": _Field("a text", _is_text, read_chain),
+    "families": _Field(
+        "a list of texts",
+        lambda v: isinstance(v, list) and all(map(_is_text, v)),
+        lambda v: tuple(map(read_family, v)),
+    ),
+    "translate": _Field(
+        "a list of [level, x, found_level]",
+        lambda v: isinstance(v, list) and all(_is_ints(e, 3) for e in v),
+        lambda v: tuple(TranslateProbe(*e) for e in v),
+    ),
+    "levels": _Field("a list", lambda v: isinstance(v, list)),
+    "jset": _Field("a list", lambda v: isinstance(v, list)),
+    "verdict": _Field("'true' or 'false'", lambda v: v in ("true", "false")),
+    "coloring": _Field("null or a list of integers", lambda v: v is None or _is_ints(v)),
+}
+
+
+def _require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise MalformedPayload(msg)
+
+
+def _field(section: dict, name: str):
+    """Decode one field by its name; a shape the name does not accept is malformed."""
+    _require(isinstance(section, dict), f"the evidence holding {name} must be an object")
+    if name == "set":
+        if "expr" in section:
+            return evaluate(_field(section, "expr"), _field(section, "window"))
+        _require("set_text" in section, "inputs carry neither an expression nor a set text")
+        return _field(section, "set_text")
+    field = _FIELDS[name]
+    value = section.get(name)
+    _require(field.accepts(value), f"{name} must be {field.what}")
+    return value if field.decode is None else field.decode(value)
 
 
 # --- certificate builders ----------------------------------------------------
 
 
+def _certify(kind: str, set_inputs: dict, **values) -> dict:
+    """Certificate of a kind with its JSON field values placed by its row;
+    ``set_inputs`` holds the set's own keys, or nothing for a kind without one."""
+    claim = _CLAIMS[kind]
+    inputs = dict(set_inputs, **{name: values[name] for name in claim.inputs if name != "set"})
+    params = {name: values[name] for name in claim.params}
+    witness = {name: values[name] for name in claim.witness + claim.recorded}
+    return build_certificate(kind, inputs, params, witness)
+
+
 def ap_certificate(set_inputs: dict, wit: APWitness) -> dict:
-    return build_certificate(
-        "ap", set_inputs, {"l": wit.l}, {"a": wit.a, "d": wit.d}
-    )
+    return _certify("ap", set_inputs, l=wit.l, a=wit.a, d=wit.d)
 
 
 def pws_certificate(set_inputs: dict, r: int, L: int, start: int) -> dict:
-    return build_certificate("pws", set_inputs, {"r": r, "L": L}, {"start": start})
+    return _certify("pws", set_inputs, r=r, L=L, start=start)
 
 
 def pws2d_certificate(
@@ -161,27 +248,16 @@ def pws2d_certificate(
     L2: int,
     subbox: Box2D,
 ) -> dict:
-    params = {
-        "l": l,
-        "box": [box.a_lo, box.a_hi, box.d_lo, box.d_hi],
-        "r1": r1,
-        "r2": r2,
-        "L1": L1,
-        "L2": L2,
-    }
-    return build_certificate(
-        "pws2d", set_inputs, params, {"a0": subbox.a_lo, "d0": subbox.d_lo}
+    box_json = [box.a_lo, box.a_hi, box.d_lo, box.d_hi]
+    return _certify(
+        "pws2d", set_inputs, l=l, box=box_json, r1=r1, r2=r2, L1=L1, L2=L2, a0=subbox.a_lo, d0=subbox.d_lo
     )
 
 
 def jset_certificate(
     set_inputs: dict, family: FuncFamily, a_max: int, wit: JWitness
 ) -> dict:
-    inputs = dict(set_inputs)
-    inputs["family"] = write_family(family)
-    return build_certificate(
-        "jset", inputs, {"a_max": a_max}, {"a": wit.a, "H": list(wit.H)}
-    )
+    return _certify("jset", set_inputs, family=write_family(family), a_max=a_max, a=wit.a, H=list(wit.H))
 
 
 def jset2d_certificate(
@@ -192,13 +268,9 @@ def jset2d_certificate(
     a_max: int,
     wit: JWitness2D,
 ) -> dict:
-    inputs = dict(set_inputs)
-    inputs["family2d"] = write_family2d(family2d)
-    return build_certificate(
-        "jset2d",
-        inputs,
-        {"b": b, "l": l, "a_max": a_max},
-        {"a1": wit.a1, "a2": wit.a2, "H": list(wit.H)},
+    return _certify(
+        "jset2d", set_inputs, family2d=write_family2d(family2d), b=b, l=l, a_max=a_max,
+        a1=wit.a1, a2=wit.a2, H=list(wit.H),
     )
 
 
@@ -228,47 +300,32 @@ def chain_certificate(chain: Chain, report: ChainReport) -> dict:
 def vdw_certificate(n: int, colors: int, ap_len: int, result: VdwResult) -> dict:
     if result.verdict not in ("true", "false"):
         raise ValueError("only decided outcomes are certifiable")
-    witness = {
-        "verdict": result.verdict,
-        "strategy": result.strategy,
-        "explored": result.explored,
-        "coloring": list(result.coloring) if result.coloring is not None else None,
-    }
-    return build_certificate(
-        "vdw", {"n": n, "colors": colors, "ap_len": ap_len}, {}, witness
+    return _certify(
+        "vdw", {}, n=n, colors=colors, ap_len=ap_len, verdict=result.verdict,
+        coloring=None if result.coloring is None else list(result.coloring),
+        strategy=result.strategy, explored=result.explored,
     )
 
 
 # --- verification ------------------------------------------------------------
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise MalformedPayload(msg)
-
-
-def _int_field(obj: dict, key: str, minimum: int = 1) -> int:
-    _require(isinstance(obj, dict), f"the evidence holding {key} must be an object")
-    v = obj.get(key)
-    _require(isinstance(v, int) and not isinstance(v, bool), f"{key} must be an integer")
-    _require(v >= minimum, f"{key} must be >= {minimum}")
-    return v
-
-
-def _text(inputs: dict, key: str) -> str:
-    v = inputs.get(key)
-    _require(isinstance(v, str), f"inputs.{key} must be a text")
-    return v
-
-
-def _H_list(obj: dict) -> tuple[int, ...]:
-    H = obj.get("H")
-    _require(isinstance(H, list) and all(isinstance(t, int) for t in H), "H must be a list of integers")
-    return tuple(H)
-
-
-def _jwitness(evidence: dict) -> JWitness:
-    return JWitness(_int_field(evidence, "a"), _H_list(evidence))
+def _chain_report(
+    chain: Chain, x_max: int, translate: tuple, levels: list, inputs: dict, params: dict
+) -> ChainReport:
+    """Reshape a chain certificate into the report ``verify_chain_report``
+    re-checks; the chain's kind says which fields its level evidence needs."""
+    report = ChainReport(chain.kind, x_max, translate)
+    if chain.kind == KIND_QUASI_CENTRAL:
+        r, L = _field(params, "r"), _field(params, "L")
+        pws = tuple(PwsWitness(r, _field(ev, "pws_start"), L) for ev in levels)
+        return replace(report, r=r, L=L, pws_witnesses=pws)
+    jset = tuple(
+        tuple(JWitness(_field(w, "a"), _field(w, "H")) for w in _field(ev, "jset")) for ev in levels
+    )
+    return replace(
+        report, families=_field(inputs, "families"), a_max=_field(params, "a_max"), jset_witnesses=jset
+    )
 
 
 def verify_certificate(cert: dict, inputs: Optional[dict] = None) -> bool:
@@ -296,140 +353,18 @@ def verify_certificate(cert: dict, inputs: Optional[dict] = None) -> bool:
         raise DigestMismatch("inputs do not match the recorded input digest")
 
     _require(isinstance(inputs, dict), "inputs must be an object")
-    _require(isinstance(cert["params"], dict), "params must be an object")
-    _require(isinstance(cert["witness"], dict), "witness must be an object")
-    checker = _CHECKERS[kind]
+    params, witness = cert["params"], cert["witness"]
+    _require(isinstance(params, dict), "params must be an object")
+    _require(isinstance(witness, dict), "witness must be an object")
+    claim = _CLAIMS[kind]
+    fields = ((inputs, claim.inputs), (params, claim.params), (witness, claim.witness))
     try:
-        return checker(inputs, cert["params"], cert["witness"])
+        args = [_field(section, name) for section, names in fields for name in names]
+        if kind == "chain":
+            args = [args[0], _chain_report(*args, inputs, params)]
+        return claim.verify(*args)
     except CertificateError:
         raise
     except (ValueError, TypeError, KeyError, IndexError):
         # structurally plausible but semantically unusable payloads
         return False
-
-
-def _check_ap(inputs: dict, params: dict, witness: dict) -> bool:
-    A = _resolve_set(inputs)
-    l = _int_field(params, "l")
-    a = _int_field(witness, "a")
-    d = _int_field(witness, "d")
-    return verify_ap(A, APWitness(a, d, l))
-
-
-def _check_pws(inputs: dict, params: dict, witness: dict) -> bool:
-    A = _resolve_set(inputs)
-    r = _int_field(params, "r")
-    L = _int_field(params, "L")
-    return verify_pws_witness(A, PwsWitness(r, _int_field(witness, "start"), L))
-
-
-def _check_pws2d(inputs: dict, params: dict, witness: dict) -> bool:
-    A = _resolve_set(inputs)
-    l = _int_field(params, "l")
-    box_raw = params.get("box")
-    _require(
-        isinstance(box_raw, list) and len(box_raw) == 4 and all(isinstance(v, int) for v in box_raw),
-        "box must be [a_lo, a_hi, d_lo, d_hi]",
-    )
-    r1 = _int_field(params, "r1")
-    r2 = _int_field(params, "r2")
-    L1 = _int_field(params, "L1")
-    L2 = _int_field(params, "L2")
-    a0 = _int_field(witness, "a0")
-    d0 = _int_field(witness, "d0")
-    box = Box2D(*box_raw)
-    subbox = Box2D(a0, a0 + L1 - 1, d0, d0 + L2 - 1)
-    if not box.contains_box(subbox):
-        return False
-    B = lift(A, l, box)
-    return is_syndetic_2d(B, subbox, r1, r2)
-
-
-def _check_jset(inputs: dict, params: dict, witness: dict) -> bool:
-    A = _resolve_set(inputs)
-    F = read_family(_text(inputs, "family"))
-    a_max = _int_field(params, "a_max")
-    wit = _jwitness(witness)
-    return wit.a <= a_max and verify_jwitness(A, F, wit)
-
-
-def _check_jset2d(inputs: dict, params: dict, witness: dict) -> bool:
-    A = _resolve_set(inputs)
-    F2D = read_family2d(_text(inputs, "family2d"))
-    b = _int_field(params, "b")
-    l = _int_field(params, "l")
-    a_max = _int_field(params, "a_max")
-    a1 = _int_field(witness, "a1")
-    a2 = _int_field(witness, "a2")
-    H = _H_list(witness)
-    if a1 > a_max or a2 != b * len(H):
-        return False
-    return verify_transfer_witness(A, F2D, JWitness2D(a1, a2, H), l)
-
-
-def _check_chain(inputs: dict, params: dict, witness: dict) -> bool:
-    # decoded by the chain's kind, so evidence shaped for the other is malformed
-    chain = read_chain(_text(inputs, "chain"))
-    translate = witness.get("translate")
-    _require(isinstance(translate, list), "translate table must be a list")
-    for entry in translate:
-        _require(
-            isinstance(entry, list) and len(entry) == 3 and all(isinstance(v, int) for v in entry),
-            "translate entries must be [level, x, found_level]",
-        )
-    levels = witness.get("levels")
-    _require(isinstance(levels, list), "levels evidence must be a list")
-    base = ChainReport(
-        chain.kind, _int_field(params, "x_max"), tuple(TranslateProbe(*e) for e in translate)
-    )
-    if chain.kind == KIND_QUASI_CENTRAL:
-        r = _int_field(params, "r")
-        L = _int_field(params, "L")
-        pws = tuple(PwsWitness(r, _int_field(ev, "pws_start"), L) for ev in levels)
-        report = replace(base, r=r, L=L, pws_witnesses=pws)
-    else:
-        fam_texts = inputs.get("families")
-        _require(
-            isinstance(fam_texts, list) and all(isinstance(t, str) for t in fam_texts),
-            "inputs.families must be a list of texts",
-        )
-        for ev in levels:
-            _require(
-                isinstance(ev, dict) and isinstance(ev.get("jset"), list),
-                "level evidence must list jset witnesses",
-            )
-        families = tuple(read_family(t) for t in fam_texts)
-        jset = tuple(tuple(map(_jwitness, ev["jset"])) for ev in levels)
-        report = replace(base, families=families, a_max=_int_field(params, "a_max"), jset_witnesses=jset)
-    return verify_chain_report(chain, report)
-
-
-def _check_vdw(inputs: dict, params: dict, witness: dict) -> bool:
-    n = _int_field(inputs, "n")
-    colors = _int_field(inputs, "colors")
-    ap_len = _int_field(inputs, "ap_len")
-    verdict = witness.get("verdict")
-    _require(verdict in ("true", "false"), "verdict must be 'true' or 'false'")
-    coloring = witness.get("coloring")
-    if verdict == "true":
-        # universal claim: no succinct witness; integrity checks only
-        return coloring is None
-    _require(isinstance(coloring, list), "a false verdict needs a coloring")
-    if len(coloring) != n:
-        return False
-    if not all(isinstance(c, int) and 0 <= c < colors for c in coloring):
-        return False
-    if ap_len == 1:
-        return False  # any point is a one-term progression
-    return not _has_mono_ap(tuple(coloring), ap_len)
-
-
-_CHECKERS = {
-    "ap": _check_ap,
-    "pws": _check_pws,
-    "pws2d": _check_pws2d,
-    "jset": _check_jset,
-    "jset2d": _check_jset2d,
-    "chain": _check_chain,
-    "vdw": _check_vdw,
-}

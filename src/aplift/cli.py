@@ -180,12 +180,14 @@ def _cmd_tower(args) -> int:
     chain = read_chain(Path(args.chain).read_text())
     print(f"chain kind {chain.kind} depth {chain.depth}"
           f" window {chain.window.lo}:{chain.window.hi}")
-    families = [read_family(Path(p).read_text()) for p in args.family or []]
     if chain.kind == KIND_QUASI_CENTRAL:
-        if args.r is None or args.L is None:
-            raise ValueError("quasi-central chains need --r and --L")
+        if args.r is None or args.L is None or args.family:
+            raise ValueError("quasi-central chains take --r and --L, and no --family")
         report = check_quasicentral(chain, args.r, args.L, args.x_max)
     else:
+        if args.r is not None or args.L is not None:
+            raise ValueError("c-set chains take --family and --a-max, and no --r or --L")
+        families = [read_family(Path(p).read_text()) for p in args.family or []]
         report = check_cset(chain, families, args.a_max, args.x_max)
     failed = [p for p in report.probes if p.found_level is None]
     print(f"translate probes {len(report.probes)} failed {len(failed)}")

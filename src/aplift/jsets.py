@@ -142,6 +142,14 @@ def verify_jwitness(A: IntSet, F: FuncFamily, wit: JWitness) -> bool:
     return all(wit.a + _table_sum(tab, wit.H) in A for tab in F.tables)
 
 
+def verify_jset_claim(A: IntSet, F: FuncFamily, a_max: int, a: int, H: tuple[int, ...]) -> bool:
+    """The claim ``jset_witness`` makes: a base it scans (a <= a_max) and a
+    witness (a, H) hitting every table of F. An H beyond F's horizon gives
+    False here; ``verify_jwitness`` raises for it."""
+    wit = JWitness(a, H)
+    return a <= a_max and H[-1] <= F.horizon and verify_jwitness(A, F, wit)
+
+
 def build_transfer_family(F2D: FuncFamily2D, b: int, l: int) -> FuncFamily:
     """Derived family with one table per (pair i, multiplier j).
 
@@ -180,6 +188,20 @@ def verify_transfer_witness(
         if not verify_ap(A, APWitness(start, step, l)):
             return False
     return True
+
+
+def verify_transfer_claim(
+    A: IntSet, F2D: FuncFamily2D, b: int, l: int, a_max: int, a1: int, a2: int, H: tuple[int, ...]
+) -> bool:
+    """The claim ``transfer_witness`` makes: the step binding a2 = b*|H|,
+    (a1, H) a J-set claim for the pairs' first tables (the derived family's
+    j = 0 tables), and every decoded progression inside A."""
+    firsts = FuncFamily(tuple(first for first, _ in F2D.pairs))
+    return (
+        a2 == b * len(H)
+        and verify_jset_claim(A, firsts, a_max, a1, H)
+        and verify_transfer_witness(A, F2D, JWitness2D(a1, a2, H), l)
+    )
 
 
 def transfer_witness(

@@ -150,6 +150,11 @@ def verify_pws_witness(A: IntSet, wit: PwsWitness) -> bool:
     return A.window.lo <= lo and hi <= A.window.hi and is_syndetic_on(A, wit.interval, wit.r)
 
 
+def verify_pws_claim(A: IntSet, r: int, L: int, start: int) -> bool:
+    """The ``pws`` certificate's claim: A is r-syndetic on [start, start + L - 1]."""
+    return verify_pws_witness(A, PwsWitness(r, start, L))
+
+
 def min_r_for_L(A: IntSet, L: int) -> Optional[int]:
     """Least r in [1, L] admitting a pws witness of length L, None if r = L fails.
 
@@ -230,6 +235,22 @@ def _has_mono_ap(coloring, ap_len: int) -> bool:
     if ap_len == 1:
         return len(coloring) > 0
     return _mono_hit(coloring, _ap_positions(len(coloring), ap_len))
+
+
+def verify_vdw_claim(
+    n: int, colors: int, ap_len: int, verdict: str, coloring: Optional[list]
+) -> bool:
+    """Re-check a decided ``vdw_check`` outcome on [1, n]: "false" needs n
+    colours in [0, colors) without a monochromatic ap_len-term progression;
+    "true" has no succinct witness, so it is attested only and has no coloring."""
+    if verdict == "true":
+        return coloring is None
+    return (
+        coloring is not None
+        and len(coloring) == n
+        and all(0 <= c < colors for c in coloring)
+        and not _has_mono_ap(coloring, ap_len)
+    )
 
 
 def vdw_check(

@@ -109,8 +109,16 @@ class Set2D:
 
 
 def verify_ap(A: IntSet, w: APWitness) -> bool:
-    """All l+1 terms belong to A (terms beyond the window are non-members)."""
+    """All l+1 terms belong to A (terms beyond the window are non-members);
+    a last term past the window's top fails before any term is built."""
+    if w.a + w.l * w.d > A.window.hi:
+        return False
     return all(t in A for t in w.terms())
+
+
+def verify_ap_claim(A: IntSet, l: int, a: int, d: int) -> bool:
+    """The ``ap`` certificate's claim: A holds a, a+d, ..., a+l*d."""
+    return verify_ap(A, APWitness(a, d, l))
 
 
 def ap_search(A: IntSet, l: int) -> Optional[APWitness]:
@@ -195,6 +203,15 @@ def is_syndetic_2d(B: Set2D, subbox: Box2D, r1: int, r2: int) -> bool:
         return True
     hruns = _subbox_miss_starts(B, subbox, r1)
     return not any(_missing_blocks(hruns, j, r2) for j in range(len(hruns) - r2 + 1))
+
+
+def verify_pws2d_claim(
+    A: IntSet, l: int, box: Box2D, r1: int, r2: int, L1: int, L2: int, a0: int, d0: int
+) -> bool:
+    """The ``pws2d`` certificate's claim: the lift of A at depth l over the
+    box is (r1, r2)-syndetic on the L1 x L2 sub-box at (a0, d0). A sub-box
+    outside the box raises ValueError, as in ``is_syndetic_2d``."""
+    return is_syndetic_2d(lift(A, l, box), Box2D(a0, a0 + L1 - 1, d0, d0 + L2 - 1), r1, r2)
 
 
 def find_pws_witness_2d(

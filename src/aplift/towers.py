@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 from ._bitops import ap_starts, iter_bit_indices
-from .jsets import FuncFamily, JWitness, jset_witness, verify_jwitness
+from .jsets import FuncFamily, JWitness, jset_witness, verify_jset_claim
 from .largeness import PwsWitness, find_pws_witness, verify_pws_witness
 from .lift import Box2D, Set2D, lift
 from .sets import IntSet, Window
@@ -205,8 +205,8 @@ def verify_chain_report(chain: Chain, report: ChainReport) -> bool:
     """Re-check a report against the chain alone, without any search: the
     kinds agree, the probes are exactly ``probe_points``, each absorbing
     level lies in [level, depth] and absorbs, and each level's witnesses
-    hold on it at the report's (r, L), or for each family with a <= a_max.
-    Like ``verify_jwitness``, raises ValueError for H beyond a horizon.
+    hold on it at the report's (r, L), or as J-set claims for each family
+    at the report's a_max.
     """
     if report.kind != chain.kind or not report.passed:
         return False
@@ -226,7 +226,7 @@ def verify_chain_report(chain: Chain, report: ChainReport) -> bool:
     fams = report.families
     return len(report.jset_witnesses) == chain.depth and all(
         len(per_level) == len(fams)
-        and all(w.a <= report.a_max and verify_jwitness(level, F, w) for F, w in zip(fams, per_level))
+        and all(verify_jset_claim(level, F, report.a_max, w.a, w.H) for F, w in zip(fams, per_level))
         for level, per_level in zip(chain.levels, report.jset_witnesses)
     )
 

@@ -1,5 +1,6 @@
 """Tamper-evident certificates: build, verify, and mutation behavior."""
 
+import hashlib
 import json
 
 import pytest
@@ -258,3 +259,83 @@ def test_jset2d_step_binding_checked():
     witness["a2"] = witness["a2"] + 1
     forged = build_certificate("jset2d", cert["inputs"], cert["params"], witness)
     assert verify_certificate(forged) is False
+
+
+# sha256 prefixes of each builder's canonical body without the fields that
+# change across releases or runs (created, tool_version and the two digests
+# over them); a change here means the certificate bytes changed
+PINNED_BODIES = {
+    "make_ap_cert": "07fe07ef1664fc32",
+    "make_pws_cert": "d736895e7492da6a",
+    "make_pws2d_cert": "a7f1995459bd6a9d",
+    "make_jset_cert": "a3a3566ecb955446",
+    "make_jset2d_cert": "b9f34ecfdf4e5af0",
+    "make_chain_cert_qc": "5ca0a2f8254bf5fb",
+    "make_chain_cert_cset": "19851e08e2fcdc6b",
+    "make_vdw_true_cert": "4d254a1d49375b9a",
+    "make_vdw_false_cert": "84dc6f26d9a7adc0",
+}
+
+
+@pytest.mark.parametrize("builder", ALL_BUILDERS)
+def test_certificate_bytes_pinned(builder):
+    cert = builder()
+    body = {k: v for k, v in cert.items()
+            if k not in ("created", "tool_version", "digest", "input_digest")}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest()[:16] == PINNED_BODIES[builder.__name__]
+
+
+def rejected(cert) -> bool:
+    try:
+        return verify_certificate(cert) is False
+    except CertificateError:
+        return True
+
+
+def test_jset2d_binding_and_base_bound_checked_alone():
+    # on multiples(2) the forged witnesses below still decode to progressions
+    # inside A, so only the step binding and the base bound can reject them
+    A = evaluate(Multiples(2), Window(1, 200))
+    F2D = FuncFamily2D((((2,), (1,)),))
+    wit = transfer_witness(A, F2D, b=1, l=1, a_max=64)
+    cert = jset2d_certificate(inputs_for_expr(Multiples(2), A.window), F2D, 1, 1, 64, wit)
+    assert verify_certificate(cert) and wit.a1 == 2
+    step = build_certificate("jset2d", cert["inputs"], cert["params"],
+                             {**cert["witness"], "a2": wit.a2 + 2})
+    base = build_certificate("jset2d", cert["inputs"], {**cert["params"], "a_max": 1},
+                             cert["witness"])
+    assert rejected(step) and rejected(base)
+
+
+def test_vdw_false_coloring_must_fit_n_and_colors():
+    # W(3; 2) = 9: a counterexample for n = 8, or one with a third colour,
+    # must not certify n = 9 with two colours
+    short = vdw_check(8, 2, 3).coloring
+    three = vdw_check(9, 3, 3).coloring
+    assert len(short) == 8 and max(three) == 2
+    for coloring in (short, three):
+        cert = build_certificate(
+            "vdw", {"n": 9, "colors": 2, "ap_len": 3}, {},
+            {"verdict": "false", "strategy": "exhaustive", "explored": 1,
+             "coloring": list(coloring)},
+        )
+        assert rejected(cert)
+
+
+def test_pws2d_checks_the_claimed_sub_box():
+    # the 3 x 2 sub-box at (3, 2) has an empty 2 x 2 block; the 2 x 2 and
+    # 2 x 3 sub-boxes at the same corner have none
+    A = evaluate(Multiples(3), Window(1, 60))
+    params = {"l": 2, "box": [1, 30, 1, 15], "r1": 2, "r2": 2, "L1": 3, "L2": 2}
+    cert = build_certificate("pws2d", inputs_for_expr(Multiples(3), A.window), params,
+                             {"a0": 3, "d0": 2})
+    assert rejected(cert)
+
+
+def test_chain_x_max_below_one_is_not_vacuous():
+    # no member x <= 0 exists, so x_max = 0 would need no translate probe
+    cert = make_chain_cert_qc()
+    forged = build_certificate("chain", cert["inputs"], {**cert["params"], "x_max": 0},
+                               {**cert["witness"], "translate": []})
+    assert rejected(forged)

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, certificate emission."""
 
 import json
+import resource
+import time
 
 import pytest
 
@@ -378,3 +380,42 @@ def test_verify_forged_chain_evidence_exit_four(capsys, tmp_path, forgery):
     dest.write_text(certificates.dumps_certificate(forged))
     code, out, _ = run(capsys, "verify", str(dest))
     assert code == 4 and out.startswith("invalid")
+
+
+def test_tower_rejects_flags_of_the_other_chain_kind(capsys, tmp_path):
+    w = Window(1, 64)
+    levels = tuple(evaluate(Multiples(2 ** n), w) for n in (1, 2))
+    qc, cs = tmp_path / "qc.txt", tmp_path / "cs.txt"
+    qc.write_text(write_chain(Chain(levels, KIND_QUASI_CENTRAL)))
+    cs.write_text(write_chain(Chain(levels, KIND_C_SET)))
+    # the family file is never read for a quasi-central chain
+    code, _, err = run(capsys, "tower", "--chain", str(qc), "--r", "8", "--L", "64",
+                       "--family", str(tmp_path / "missing.txt"))
+    assert code == 2 and "--family" in err and "No such file" not in err
+    code, _, err = run(capsys, "tower", "--chain", str(cs), "--r", "3", "--L", "5")
+    assert code == 2 and "--r" in err
+
+
+def test_verify_huge_progression_length_is_bounded(capsys, tmp_path):
+    # the last term lies far past the window, so verify rejects it at once
+    cert = certificates.build_certificate(
+        "ap", {"expr": "multiples(1)", "window": [1, 100]}, {"l": 10**12}, {"a": 1, "d": 1})
+    dest = tmp_path / "forged.json"
+    dest.write_text(certificates.dumps_certificate(cert))
+    # a verifier that builds all 10**12 terms then fails with MemoryError
+    # within 1 GB more address space, instead of exhausting the host
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        used = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = used + (1 << 30)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", str(dest))
+        elapsed = time.perf_counter() - start
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert code == 4 and out.startswith("invalid")
+    assert elapsed < 1.0

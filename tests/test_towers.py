@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from aplift.jsets import FuncFamily
+from aplift.jsets import FuncFamily, JWitness
 from aplift.largeness import find_pws_witness
 from aplift.lift import Box2D, induced_box, lift
 from aplift.sets import IntSet, Multiples, Window, evaluate
@@ -301,3 +301,13 @@ def test_verify_chain_report_rejects_witness_from_another_level():
     assert not verify_chain_report(c, replace(report, a_max=w2.a - 1))
     assert not verify_chain_report(c, replace(report, families=(F, F)))
     assert not verify_chain_report(c, replace(report, jset_witnesses=((w1,),)))
+
+
+def test_verify_chain_report_rejects_H_beyond_horizon():
+    c = power_chain(2, 2, 400, KIND_C_SET)
+    F = FuncFamily(((4, 8),))
+    report = check_cset(c, [F], a_max=40, x_max=16)
+    assert verify_chain_report(c, report)
+    # H reaches 3 on a horizon-2 family: a forged report, not an input error
+    beyond = ((JWitness(2, (1, 2, 3)),),) * c.depth
+    assert verify_chain_report(c, replace(report, jset_witnesses=beyond)) is False
