@@ -7,17 +7,16 @@ is a length-L interval on which the set is r-syndetic: bounded gaps over an
 arbitrarily long stretch, the finite shadow of "syndetic on a thick part".
 
 ``vdw_check`` decides whether every coloring of an initial segment forces a
-monochromatic arithmetic progression, exhaustively or by pruned backtracking.
+monochromatic arithmetic progression, by one pruned search on color bitmaps.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
-from ._bitops import iter_bit_indices, longest_run, lsb_index, run_starts, smear_right
+from ._bitops import ap_starts, from_indices, iter_bit_indices, longest_run, lsb_index, run_starts, smear_right
 from .sets import IntSet
 
 BUDGET_ENV_VAR = "APLIFT_BUDGET"
@@ -198,11 +197,11 @@ class VdwResult:
     budget: int
 
 
-def search_budget(default: int = DEFAULT_VDW_BUDGET) -> int:
+def search_budget() -> int:
     """Search budget, overridable through the APLIFT_BUDGET variable."""
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
-        return default
+        return DEFAULT_VDW_BUDGET
     try:
         value = int(raw)
     except ValueError:
@@ -212,124 +211,113 @@ def search_budget(default: int = DEFAULT_VDW_BUDGET) -> int:
     return value
 
 
-def _ap_positions(n: int, k: int) -> list[tuple[int, ...]]:
-    """All k-term progressions a, a+d, ..., a+(k-1)d inside [1, n], d >= 1."""
-    out = []
-    for d in range(1, (n - 1) // (k - 1) + 1):
-        for a in range(1, n - (k - 1) * d + 1):
-            out.append(tuple(range(a, a + (k - 1) * d + 1, d)))
-    return out
-
-
-def _mono_hit(coloring, aps) -> bool:
-    for ap in aps:
-        c = coloring[ap[0] - 1]
-        if all(coloring[t - 1] == c for t in ap[1:]):
-            return True
-    return False
-
-
 def _has_mono_ap(coloring, ap_len: int) -> bool:
-    """Does the coloring of [1, len(coloring)] contain a monochromatic
-    progression with exactly ap_len terms? ap_len = 1 is always True."""
+    """Brute-force oracle: does the coloring of [1, len(coloring)] contain a
+    monochromatic progression with exactly ap_len terms (any point, for 1)?"""
+    n = len(coloring)
     if ap_len == 1:
-        return len(coloring) > 0
-    return _mono_hit(coloring, _ap_positions(len(coloring), ap_len))
+        return n > 0
+    for d in range(1, (n - 1) // (ap_len - 1) + 1):
+        for a in range(n - (ap_len - 1) * d):
+            c = coloring[a]
+            if all(coloring[a + j * d] == c for j in range(1, ap_len)):
+                return True
+    return False
 
 
 def verify_vdw_claim(
     n: int, colors: int, ap_len: int, verdict: str, coloring: Optional[list]
 ) -> bool:
     """Re-check a decided ``vdw_check`` outcome on [1, n]: "false" needs n
-    colours in [0, colors) without a monochromatic ap_len-term progression;
-    "true" has no succinct witness, so it is attested only and has no coloring."""
+    colours in [0, colors) without a monochromatic ap_len-term progression,
+    sought by ``ap_starts`` scans of each colour class's bitmap; "true" has
+    no succinct witness, so it is attested only and has no coloring."""
     if verdict == "true":
         return coloring is None
-    return (
-        coloring is not None
-        and len(coloring) == n
-        and all(0 <= c < colors for c in coloring)
-        and not _has_mono_ap(coloring, ap_len)
-    )
+    if coloring is None or len(coloring) != n or not all(0 <= c < colors for c in coloring):
+        return False
+    classes: dict[int, list[int]] = {}
+    for i, c in enumerate(coloring):
+        classes.setdefault(c, []).append(i)
+    for members in classes.values():
+        if len(members) < ap_len:
+            continue
+        if ap_len == 1:
+            return False
+        first, span = members[0], members[-1] - members[0]
+        bits = from_indices((i - first for i in members), span + 1)
+        if any(ap_starts(bits, d, ap_len - 1) for d in range(1, span // (ap_len - 1) + 1)):
+            return False
+    return True
 
 
 def vdw_check(
-    window_len: int,
-    colors: int,
-    ap_len: int,
-    budget: Optional[int] = None,
-    strategy: Optional[str] = None,
+    window_len: int, colors: int, ap_len: int, budget: Optional[int] = None
 ) -> VdwResult:
     """Does every `colors`-coloring of [1, window_len] contain a
     monochromatic progression with exactly `ap_len` terms?
 
-    Enumerates all colorings when colors**window_len is small enough,
-    otherwise backtracks with pruning on completed monochromatic
-    progressions. Both strategies scan colorings in the same lexicographic
-    order (position 1 most significant, color 0 first), so the returned
-    counterexample does not depend on the strategy. A budget bounds the
-    number of colorings/nodes examined; exceeding it yields "unknown".
+    One depth-first search over colorings in lexicographic order (position 1
+    most significant, color 0 first), so a "false" verdict carries the least
+    counterexample. A position is pruned as soon as its color completes a
+    monochromatic progression ending there.
+
+    The strategy label names what `explored` counts and the budget bounds.
+    "exhaustive" (colors**window_len <= EXHAUSTIVE_LIMIT) counts colorings:
+    a subtree pruned at 0-based position p counts its colors**(window_len-1-p)
+    colorings, so `explored` is the counterexample's lexicographic rank + 1,
+    or colors**window_len on "true". "backtracking" counts color
+    assignments tried. Exceeding the budget yields "unknown" with
+    `explored` equal to the budget.
     """
     if window_len < 1 or colors < 1 or ap_len < 1:
         raise ValueError("window_len, colors and ap_len must be >= 1")
     if budget is None:
         budget = search_budget()
-    if strategy is None:
-        strategy = "exhaustive" if colors**window_len <= EXHAUSTIVE_LIMIT else "backtracking"
-    elif strategy not in ("exhaustive", "backtracking"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    if ap_len == 1:
+    n, k = window_len, ap_len
+    exhaustive = colors**n <= EXHAUSTIVE_LIMIT
+    strategy = "exhaustive" if exhaustive else "backtracking"
+    if k == 1:
         # every point is a one-term progression, so any coloring has one
         return VdwResult("true", None, strategy, 0, budget)
 
-    if strategy == "exhaustive":
-        aps = _ap_positions(window_len, ap_len)
-        explored = 0
-        for coloring in product(range(colors), repeat=window_len):
-            explored += 1
-            if explored > budget:
-                return VdwResult("unknown", None, strategy, explored - 1, budget)
-            if not _mono_hit(coloring, aps):
-                return VdwResult("false", coloring, strategy, explored, budget)
-        return VdwResult("true", None, strategy, explored, budget)
-
-    return _vdw_backtrack(window_len, colors, ap_len, budget)
-
-
-def _vdw_backtrack(n: int, colors: int, k: int, budget: int) -> VdwResult:
-    # aps_by_end[i]: progressions whose last term is i, checked as soon as
-    # position i receives a color.
-    aps_by_end: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    for ap in _ap_positions(n, k):
-        aps_by_end[ap[-1]].append(ap)
-
+    # ends[p]: for each progression of k terms whose last term is position p,
+    # the bitmap of its other k - 1 terms; built when the search first gets to p
+    ends: list[list[int]] = []
+    # classes[c]: bit p set when position p holds color c. An unused color
+    # never completes a progression, so position p needs no color above p.
+    classes = [0] * min(colors, n)
     coloring = [0] * n
     explored = 0
-
-    def completes_mono(i: int) -> bool:
-        ci = coloring[i - 1]
-        for ap in aps_by_end[i]:
-            if all(coloring[t - 1] == ci for t in ap[:-1]):
-                return True
-        return False
-
-    pos = 1
-    next_color = [0] * (n + 2)
+    p = c = 0
     while True:
-        if pos == 0:
-            return VdwResult("true", None, "backtracking", explored, budget)
-        if pos > n:
-            return VdwResult("false", tuple(coloring), "backtracking", explored, budget)
-        c = next_color[pos]
-        if c >= colors:
-            next_color[pos] = 0
-            pos -= 1
+        if c == colors:  # every color at p tried: back up to p - 1's next color
+            if p == 0:
+                return VdwResult("true", None, strategy, explored, budget)
+            p -= 1
+            c = coloring[p]
+            classes[c] ^= 1 << p
+            c += 1
             continue
-        next_color[pos] = c + 1
-        coloring[pos - 1] = c
-        explored += 1
+        if p == len(ends):
+            ends.append([sum(1 << (p - j * d) for j in range(1, k)) for d in range(1, p // (k - 1) + 1)])
+        cls = classes[c]
+        dead = False
+        for m in ends[p]:
+            if cls & m == m:
+                dead = True
+                break
+        if not exhaustive:
+            explored += 1
+        elif dead or p == n - 1:
+            explored += colors ** (n - 1 - p)
         if explored > budget:
-            return VdwResult("unknown", None, "backtracking", explored - 1, budget)
-        if not completes_mono(pos):
-            pos += 1
+            return VdwResult("unknown", None, strategy, budget, budget)
+        if dead:
+            c += 1
+            continue
+        coloring[p] = c
+        if p == n - 1:
+            return VdwResult("false", tuple(coloring), strategy, explored, budget)
+        classes[c] = cls | 1 << p
+        p, c = p + 1, 0

@@ -210,8 +210,12 @@ def verify_pws2d_claim(
 ) -> bool:
     """The ``pws2d`` certificate's claim: the lift of A at depth l over the
     box is (r1, r2)-syndetic on the L1 x L2 sub-box at (a0, d0). A sub-box
-    outside the box raises ValueError, as in ``is_syndetic_2d``."""
-    return is_syndetic_2d(lift(A, l, box), Box2D(a0, a0 + L1 - 1, d0, d0 + L2 - 1), r1, r2)
+    outside the box raises ValueError, as in ``is_syndetic_2d``. The lift is
+    pointwise, so only the sub-box is lifted, whatever the box's size."""
+    sub = Box2D(a0, a0 + L1 - 1, d0, d0 + L2 - 1)
+    if not box.contains_box(sub):
+        raise ValueError("sub-box not inside the box")
+    return is_syndetic_2d(lift(A, l, sub), sub, r1, r2)
 
 
 def find_pws_witness_2d(

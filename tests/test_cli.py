@@ -419,3 +419,34 @@ def test_verify_huge_progression_length_is_bounded(capsys, tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
     assert code == 4 and out.startswith("invalid")
     assert elapsed < 1.0
+
+
+def test_verify_forged_vdw_coloring_exit_four(capsys, tmp_path):
+    # 0, 0, 0 opens the coloring, so verify must find the progression;
+    # the digests are recomputed, so only the coloring check can reject it
+    coloring = [0, 0, 0] + [(i // 2) % 2 for i in range(1997)]
+    forged = certificates.build_certificate(
+        "vdw", {"n": 2000, "colors": 2, "ap_len": 3}, {},
+        {"verdict": "false", "strategy": "backtracking", "explored": 1, "coloring": coloring})
+    dest = tmp_path / "forged.json"
+    dest.write_text(certificates.dumps_certificate(forged))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(dest))
+    assert code == 4 and out.startswith("invalid")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_verify_pws2d_lifts_only_the_sub_box(capsys, tmp_path):
+    # the box's d-width is a JSON number; the claim concerns the 6 x 6
+    # sub-box alone, so a box reaching d = 10**7 costs no more to verify
+    A = evaluate(Multiples(3), Window(1, 60))
+    inputs = certificates.inputs_for_expr(Multiples(3), A.window)
+    params = {"l": 2, "box": [1, 30, 1, 10**7], "r1": 3, "r2": 3, "L1": 6, "L2": 6}
+    dest = tmp_path / "pws2d.json"
+    for a0, expected in ((1, 0), (28, 4)):  # a sub-box from a = 28 leaves the box at 30
+        cert = certificates.build_certificate("pws2d", inputs, params, {"a0": a0, "d0": 1})
+        dest.write_text(certificates.dumps_certificate(cert))
+        start = time.perf_counter()
+        code, _, _ = run(capsys, "verify", str(dest))
+        assert code == expected
+        assert time.perf_counter() - start < 0.5

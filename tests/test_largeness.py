@@ -6,12 +6,14 @@ quadratic-scan script before this file was written.
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aplift._bitops import longest_run
 from aplift.largeness import (
+    EXHAUSTIVE_LIMIT,
     GapProfile,
     VdwResult,
     _has_mono_ap,
@@ -23,6 +25,7 @@ from aplift.largeness import (
     longest_miss_run,
     min_r_for_L,
     vdw_check,
+    verify_vdw_claim,
 )
 from aplift.sets import IntSet, Interval, Multiples, ThickBlocks, Union, Window, evaluate, ip_set
 
@@ -211,13 +214,81 @@ def test_vdw_coloring_is_lex_least():
             break
 
 
-def test_vdw_strategies_agree():
-    for n, c, k in [(6, 2, 3), (8, 2, 3), (9, 2, 3), (5, 3, 2), (26, 2, 3)]:
-        ex = vdw_check(n, c, k, strategy="exhaustive") if c ** n <= 1 << 20 else None
-        bt = vdw_check(n, c, k, strategy="backtracking")
-        if ex is not None:
-            assert ex.verdict == bt.verdict, (n, c, k)
-            assert ex.coloring == bt.coloring, (n, c, k)
+def lex_oracle(n, colors, k):
+    """(verdict, coloring, colorings counted) by plain enumeration in lex order."""
+    for rank, cand in enumerate(itertools.product(range(colors), repeat=n)):
+        if not _has_mono_ap(cand, k):
+            return "false", cand, rank + 1
+    return "true", None, colors**n
+
+
+def test_vdw_matches_enumeration_oracle():
+    # every case is below EXHAUSTIVE_LIMIT, so explored counts colorings
+    for n in range(1, 13):
+        for colors in range(1, 5):
+            if colors**n > 1 << 12:
+                continue
+            for k in range(1, 6):
+                verdict, coloring, answer = lex_oracle(n, colors, k)
+                if k == 1:
+                    answer = 0  # decided before any coloring is counted
+                for budget in {b for b in (1, answer - 1, answer, answer + 1) if b >= 1}:
+                    res = vdw_check(n, colors, k, budget=budget)
+                    case = (n, colors, k, budget)
+                    assert res.strategy == "exhaustive", case
+                    if budget < answer:
+                        assert (res.verdict, res.coloring, res.explored) == ("unknown", None, budget), case
+                    else:
+                        assert (res.verdict, res.coloring, res.explored) == (verdict, coloring, answer), case
+
+
+@pytest.mark.parametrize("n, colors, k, explored", [
+    (18, 2, 4, 19154), (12, 3, 3, 20873), (34, 2, 4, 3518),
+    (35, 2, 4, 40702), (25, 3, 3, 16061), (26, 3, 3, 35709),
+])
+def test_vdw_explored_pinned(n, colors, k, explored):
+    # exhaustive counts colorings up to the least counterexample, backtracking
+    # counts color assignments; both are fixed by the lexicographic order
+    res = vdw_check(n, colors, k)
+    assert res.strategy == ("exhaustive" if colors**n <= EXHAUSTIVE_LIMIT else "backtracking")
+    assert res.explored == explored
+    if res.verdict == "false":
+        assert len(res.coloring) == n and not _has_mono_ap(res.coloring, k)
+    else:
+        assert (n, colors, k) == (35, 2, 4)  # W(4; 2) = 35
+
+
+def test_vdw_long_window_follows_the_nodes_searched():
+    # W(3; 2) = 9 kills every branch by depth 9: only the positions reached
+    # get their progression masks, however long the window
+    start = time.perf_counter()
+    res = vdw_check(2000, 2, 3)
+    elapsed = time.perf_counter() - start
+    assert (res.verdict, res.coloring, res.strategy, res.explored) == ("true", None, "backtracking", 158)
+    assert elapsed < 0.1
+
+
+def test_verify_vdw_claim_matches_brute_oracle():
+    rng = random.Random(7)
+    for _ in range(400):
+        n, colors, k = rng.randint(1, 40), rng.randint(1, 4), rng.randint(1, 5)
+        coloring = [rng.randrange(colors) for _ in range(n)]
+        assert verify_vdw_claim(n, colors, k, "false", coloring) == (not _has_mono_ap(coloring, k))
+    # counterexamples, and single flips of them, on both sides of the answer
+    for n, colors, k in [(8, 2, 3), (34, 2, 4), (26, 3, 3), (20, 4, 3), (12, 1, 13)]:
+        good = list(vdw_check(n, colors, k).coloring)
+        assert verify_vdw_claim(n, colors, k, "false", good)
+        for i in range(n):
+            flipped = good[:i] + [(good[i] + 1) % colors] + good[i + 1:]
+            assert verify_vdw_claim(n, colors, k, "false", flipped) == (not _has_mono_ap(flipped, k))
+
+
+def test_verify_vdw_claim_is_fast_on_long_colorings():
+    rng = random.Random(3)
+    coloring = [0, 0, 0] + [rng.randrange(2) for _ in range(1997)]
+    start = time.perf_counter()
+    assert verify_vdw_claim(2000, 2, 3, "false", coloring) is False
+    assert time.perf_counter() - start < 0.1
 
 
 def test_vdw_monotone_in_n():
@@ -246,8 +317,6 @@ def test_vdw_input_validation():
         vdw_check(0, 2, 3)
     with pytest.raises(ValueError):
         vdw_check(5, 2, 0)
-    with pytest.raises(ValueError):
-        vdw_check(8, 2, 3, strategy="sideways")
 
 
 def test_vdw_single_color():
