@@ -3,8 +3,10 @@
 Bitmaps are plain nonnegative ints. Bit order contract: bit i of a bitmap on
 a window [lo, hi] holds lo + i, so bit 0 is the window's lowest position.
 Kernels: lsb_index, iter_bit_indices, from_indices (build), run_starts,
-smear_right, longest_run (runs), ap_starts (progression mask) and hex_head
-(repr). Bitstring text conversion lives in ``fileformats``.
+smear_right, longest_run (runs), ap_starts (progression mask), hex_head
+(repr), subset_sums_by_count (sums of k of the given values) and
+differences (differences of two set bits). Bitstring text conversion lives
+in ``fileformats``.
 """
 
 from __future__ import annotations
@@ -94,3 +96,34 @@ def ap_starts(bits: int, d: int, l: int) -> int:
         m &= m >> (step * d)
         have += step
     return m
+
+
+def subset_sums_by_count(values: Iterable[int], width: int) -> list[int]:
+    """reach[k] has bit s set when some k of the values (nonnegative, one use
+    each) sum to s, for s < width and k = 0 .. len(values).
+
+    Shift-or dynamic programming: each value v adds reach[k-1] << v to
+    reach[k], so the cost is len(values)^2 big-int ops of width bits.
+    """
+    mask = (1 << width) - 1
+    reach = [1 & mask]
+    for v in values:
+        reach.append(0)
+        for k in range(len(reach) - 1, 0, -1):
+            reach[k] |= (reach[k - 1] << v) & mask
+    return reach
+
+
+def differences(bits: int, width: int) -> int:
+    """Bitmap with bit x set when bits i and i + x are both set, for x < width.
+
+    Takes the cheaper of one shifted copy per set bit and one
+    shift-and-intersect per candidate x.
+    """
+    mask = (1 << width) - 1
+    if bits.bit_count() <= width:
+        out = 0
+        for i in iter_bit_indices(bits):
+            out |= (bits >> i) & mask
+        return out
+    return from_indices((x for x in range(width) if bits & (bits >> x)), width)

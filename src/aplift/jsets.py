@@ -5,15 +5,22 @@ H a nonempty subset of [1, T], when a + sum(f(t) for t in H) lands in A for
 every f in F simultaneously. ``jset_witness`` finds the first such pair in a
 fixed total order; ``transfer_witness`` converts a hit for a derived family
 into a pair witness ((a, b*|H|), H) whose decoded progressions all live in A.
+
+Once the singletons miss, ``jset_witness`` skips every size |H| = k that no H
+can hit, by two necessary conditions read off subset-sum bitmaps: in each
+table some k values sum to an s with a + s in A for some base a, and for each
+table j > 0 some k differences f_j(t) - f_0(t) sum into A - A (a hit puts
+both a + S_0 and a + S_j in A). A skipped size holds no hit, so the first hit
+in the search order, or its absence, is the same as without the filter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
-from ._bitops import lsb_index
+from ._bitops import differences, lsb_index, smear_right, subset_sums_by_count
 from .lift import APWitness, verify_ap
 from .sets import IntSet
 
@@ -106,6 +113,75 @@ def _table_sum(table: tuple[int, ...], H: tuple[int, ...]) -> int:
     return sum(table[t - 1] for t in H)
 
 
+# Cap on the bits the size filter holds at once: past it (a huge window top,
+# or a window of 10^7 bits with many tables) the filter is not built.
+_FILTER_MAX_BITS = 1 << 27
+
+
+def _table_sizes(A: IntSet, F: FuncFamily, a_max: int, keep: list[int], top: int) -> set[int]:
+    """Sizes k such that in every table some k of the kept indices sum to an
+    s with a + s in A for some a in [1, a_max]. Sums of top or more miss."""
+    good = smear_right((A.bits << A.window.lo) >> 1, a_max - 1)  # bit s: a + s in A
+    sizes = set(range(len(keep) + 1))
+    for tab in F.tables:
+        reach = subset_sums_by_count([tab[t] for t in keep], top)
+        sizes &= {k for k, r in enumerate(reach) if r & good}
+    return sizes
+
+
+def _difference_sizes(A: IntSet, F: FuncFamily, keep: list[int], max_ops: int) -> set[int]:
+    """Sizes k such that for every table j > 0 some k of the kept indices
+    have a sum of f_j(t) - f_0(t) in A - A; every size when finding A - A
+    would take more than max_ops big-int ops.
+
+    A - A is needed only up to B = min(sum |f_j - f_0|, W - 1). Each
+    difference is raised by c = max(0, -min) for the shift-or sums, and the
+    size-k sums are lowered by k*c again before they meet A - A.
+    """
+    first = F.tables[0]
+    rows = [[tab[t] - first[t] for t in keep] for tab in F.tables[1:]]
+    B = min(max(sum(map(abs, d)) for d in rows), A.window.width - 1)
+    sizes = set(range(len(keep) + 1))
+    if min(A.bits.bit_count(), B + 1) > max_ops:
+        return sizes
+    D = differences(A.bits, B + 1)
+    # bit B + x set when |x| <= B and |x| in A - A
+    sym = (D << B) | int(f"{D:0{B + 1}b}"[::-1], 2)
+    for d in rows:
+        c = max(0, -min(d))
+        width = B + len(keep) * c + 1
+        if len(keep) * width > _FILTER_MAX_BITS:
+            continue
+        reach = subset_sums_by_count([x + c for x in d], width)
+        sizes &= {
+            k for k, r in enumerate(reach)
+            if (r << B - k * c if B >= k * c else r >> k * c - B) & sym
+        }
+    return sizes
+
+
+def _scan_sizes(A: IntSet, F: FuncFamily, a_max: int) -> Iterator[int]:
+    """1, then each size k >= 2 that the size filter cannot rule out.
+
+    Lazy: the filter is built only when the scan asks past size 1, since
+    the T singletons are cheaper to scan than to filter. An index with some
+    table value >= A's top member m is in no hit (a >= 1), so it is left out
+    of the filter, and every filter bitmap has O(T * m) bits.
+    The difference filter is skipped when finding A - A would cost more
+    big-int ops than there are subsets it could skip.
+    """
+    yield 1
+    T = F.horizon
+    top = A.window.lo + A.bits.bit_length() - 1
+    keep = [t for t in range(T) if all(tab[t] < top for tab in F.tables)]
+    sizes = set(range(2, len(keep) + 1))
+    if sizes and (len(keep) + 1) * top <= _FILTER_MAX_BITS:
+        sizes &= _table_sizes(A, F, a_max, keep, top)
+        if sizes and F.size > 1:
+            sizes &= _difference_sizes(A, F, keep, (1 << T) - T - 1)
+    yield from sorted(sizes)
+
+
 def jset_witness(A: IntSet, F: FuncFamily, a_max: int) -> Optional[JWitness]:
     """First (a, H) hitting every table of F, or None.
 
@@ -113,13 +189,19 @@ def jset_witness(A: IntSet, F: FuncFamily, a_max: int) -> Optional[JWitness]:
     ascending a in [1, a_max]. Sums landing outside A's window count as
     non-members. For each H the surviving bases are found with one
     shift-and-mask pass per table.
+
+    After the singletons miss, sizes |H| at which no H can hit are skipped
+    (``_scan_sizes``): for every table, no sum of |H| values reaches a + s in
+    A, or for some table j > 0 no sum of |H| differences f_j - f_0 lies in
+    A - A. Both are necessary for a hit, so the skipped sizes hold none, and
+    the witness and the None answers are those of the full scan.
     """
     if a_max < 1:
         raise ValueError("a_max must be >= 1")
     w = A.window
     T = F.horizon
     base_mask = (1 << a_max) - 1  # bit a-1 <-> base a
-    for size in range(1, T + 1):
+    for size in _scan_sizes(A, F, a_max):
         for H in combinations(range(1, T + 1), size):
             acc = base_mask
             for tab in F.tables:

@@ -246,7 +246,11 @@ def verify_vdw_claim(
             return False
         first, span = members[0], members[-1] - members[0]
         bits = from_indices((i - first for i in members), span + 1)
-        if any(ap_starts(bits, d, ap_len - 1) for d in range(1, span // (ap_len - 1) + 1)):
+        top = span // (ap_len - 1)
+        steps = range(1, top + 1)
+        if len(members) ** 2 < span:  # sparse: a progression's step is a difference of members
+            steps = {y - x for j, x in enumerate(members) for y in members[j + 1:] if y - x <= top}
+        if any(ap_starts(bits, d, ap_len - 1) for d in steps):
             return False
     return True
 
@@ -275,7 +279,9 @@ def vdw_check(
     if budget is None:
         budget = search_budget()
     n, k = window_len, ap_len
-    exhaustive = colors**n <= EXHAUSTIVE_LIMIT
+    # 2**n > EXHAUSTIVE_LIMIT from n = its bit length on, so the power is only
+    # taken for small n
+    exhaustive = colors == 1 or (n < EXHAUSTIVE_LIMIT.bit_length() and colors**n <= EXHAUSTIVE_LIMIT)
     strategy = "exhaustive" if exhaustive else "backtracking"
     if k == 1:
         # every point is a one-term progression, so any coloring has one
@@ -285,9 +291,10 @@ def vdw_check(
     # the bitmap of its other k - 1 terms; built when the search first gets to p
     ends: list[list[int]] = []
     # classes[c]: bit p set when position p holds color c. An unused color
-    # never completes a progression, so position p needs no color above p.
-    classes = [0] * min(colors, n)
-    coloring = [0] * n
+    # never completes a progression, so position p needs no color above p,
+    # and classes grows by one color at a time.
+    classes: list[int] = []
+    coloring: list[int] = []  # colors of positions 0 .. p - 1
     explored = 0
     p = c = 0
     while True:
@@ -295,12 +302,14 @@ def vdw_check(
             if p == 0:
                 return VdwResult("true", None, strategy, explored, budget)
             p -= 1
-            c = coloring[p]
+            c = coloring.pop()
             classes[c] ^= 1 << p
             c += 1
             continue
         if p == len(ends):
             ends.append([sum(1 << (p - j * d) for j in range(1, k)) for d in range(1, p // (k - 1) + 1)])
+        if c == len(classes):
+            classes.append(0)
         cls = classes[c]
         dead = False
         for m in ends[p]:
@@ -316,7 +325,7 @@ def vdw_check(
         if dead:
             c += 1
             continue
-        coloring[p] = c
+        coloring.append(c)
         if p == n - 1:
             return VdwResult("false", tuple(coloring), strategy, explored, budget)
         classes[c] = cls | 1 << p

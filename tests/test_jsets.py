@@ -5,11 +5,16 @@ loops; frozen constants were produced by a standalone run of the same logic.
 """
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aplift.jsets import (
+    _difference_sizes,
+    _scan_sizes,
+    _table_sizes,
     FuncFamily,
     FuncFamily2D,
     JWitness,
@@ -33,6 +38,46 @@ def jset_brute(A, tables, a_max):
                 if all(a + sum(tab[t - 1] for t in H) in mem for tab in tables):
                     return (a, H)
     return None
+
+
+def hit_sizes(A, tables, a_max):
+    """Every |H| at which some (a, H) with a <= a_max hits all tables."""
+    mem = set(A.members())
+    T = len(tables[0])
+    return {
+        k for k in range(1, T + 1) for H in itertools.combinations(range(1, T + 1), k)
+        if any(all(a + sum(tab[t - 1] for t in H) in mem for tab in tables)
+               for a in range(1, a_max + 1))
+    }
+
+
+def offset_tables(rng, q, T, M):
+    """Table 2 is table 1 minus one (mod q), later tables agree with table 2
+    (mod q): sums of tables 1 and 2 over H agree mod q only when q | |H|."""
+    first = [rng.randint(1, 4 * q) for _ in range(T)]
+    second = [(v - 1) % q + q * rng.randint(0, 3) or q for v in first]
+    out = [tuple(first), tuple(second)]
+    for _ in range(M - 2):
+        out.append(tuple(v % q + q * rng.randint(0, 3) or q for v in second))
+    return tuple(out[:M])
+
+
+def random_case(rng, max_T=7):
+    """(A, tables, a_max): multiples or Bernoulli sets on windows that may
+    start past 1, 1-4 tables, random or residue-offset families."""
+    lo = rng.choice([1, 1, rng.randint(2, 300)])
+    win = Window(lo, lo + rng.randint(0, 160))
+    if rng.random() < 0.5:
+        A = evaluate(Multiples(rng.randint(1, 25)), win)
+    else:
+        A = evaluate(Bernoulli(rng.uniform(0.05, 0.95), rng.randint(0, 10**6)), win)
+    T, M = rng.randint(1, max_T), rng.randint(1, 4)
+    if rng.random() < 0.5:
+        tables = offset_tables(rng, rng.randint(2, 25), T, M)
+    else:
+        top = rng.choice([5, 50, 500])
+        tables = tuple(tuple(rng.randint(1, top) for _ in range(T)) for _ in range(M))
+    return A, tables, rng.randint(1, 100)
 
 
 def test_family_validation():
@@ -104,6 +149,61 @@ def test_jset_matches_brute(p, seed, m, T):
     else:
         assert (wit.a, wit.H) == expect
         assert verify_jwitness(A, F, wit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_jset_matches_brute_on_filtered_shapes(salt):
+    A, tables, a_max = random_case(random.Random(salt))
+    wit = jset_witness(A, FuncFamily(tables), a_max)
+    assert (None if wit is None else (wit.a, wit.H)) == jset_brute(A, tables, a_max)
+
+
+def test_size_filters_never_rule_out_a_hit():
+    rng = random.Random(11)
+    pruned = {"scan": 0, "table": 0, "difference": 0}
+    for _ in range(600):
+        A, tables, a_max = random_case(rng)
+        F = FuncFamily(tables)
+        T = F.horizon
+        hits = hit_sizes(A, tables, a_max)
+        everything = set(range(T + 1))
+        scanned = set(_scan_sizes(A, F, a_max))
+        # keep every index and every sum: the conditions hold unbounded too
+        table = _table_sizes(A, F, a_max, list(range(T)), A.window.hi + 1)
+        diff = _difference_sizes(A, F, list(range(T)), A.window.width) if F.size > 1 else everything
+        assert hits <= scanned and hits <= table and hits <= diff, (A, tables, a_max)
+        pruned["scan"] += len(set(range(1, T + 1)) - scanned)
+        pruned["table"] += len(everything - table)
+        pruned["difference"] += len(everything - diff)
+    assert all(pruned.values()), pruned
+
+
+def test_offset_family_miss_skips_every_size():
+    # sums of the two tables agree mod 23 only when 23 divides |H| <= 22, so
+    # every size is ruled out and none of the 2^22 - 1 subsets is scanned
+    rng = random.Random(5)
+    q, T = 23, 22
+    tables = offset_tables(rng, q, T, 2)
+    A = evaluate(Multiples(q), Window(1, 2 * q + max(map(sum, tables))))
+    start = time.perf_counter()
+    assert jset_witness(A, FuncFamily(tables), 2 * q) is None
+    assert time.perf_counter() - start < 0.5
+
+
+def test_huge_table_value_stays_out_of_the_filter():
+    # an index whose value passes A's top is in no hit, so the filter's
+    # bitmaps stay window-sized instead of 10^9 bits
+    A = IntSet.from_members(Window(1, 500), [13, 17])
+    for tables, a_max, expect in [
+        (((10**9, 5, 7), (10**9, 9, 7)), 5, (1, (2, 3))),
+        (((10**9, 5, 7), (10**9, 9, 8)), 5, None),
+    ]:
+        assert jset_brute(A, tables, a_max) == expect
+        start = time.perf_counter()
+        wit = jset_witness(A, FuncFamily(tables), a_max)
+        assert time.perf_counter() - start < 0.1
+        assert (None if wit is None else (wit.a, wit.H)) == expect
 
 
 def test_verify_jwitness_bounds():

@@ -268,6 +268,23 @@ def test_vdw_long_window_follows_the_nodes_searched():
     assert elapsed < 0.1
 
 
+def test_vdw_huge_window_sizes_nothing_by_n():
+    # the strategy label is decided without colors**n and the coloring grows
+    # with the search, so a billion-position window costs what 2000 does
+    start = time.perf_counter()
+    res = vdw_check(10**9, 2, 3)
+    elapsed = time.perf_counter() - start
+    assert (res.verdict, res.coloring, res.strategy, res.explored) == ("true", None, "backtracking", 158)
+    assert elapsed < 0.1
+
+
+@pytest.mark.parametrize("colors", [1, 2, 3, 4, 5, 1025, 2**20, 2**20 + 1])
+def test_vdw_strategy_label_matches_the_power(colors):
+    for n in range(1, 24):
+        res = vdw_check(n, colors, 2, budget=1)
+        assert res.strategy == ("exhaustive" if colors**n <= EXHAUSTIVE_LIMIT else "backtracking"), n
+
+
 def test_verify_vdw_claim_matches_brute_oracle():
     rng = random.Random(7)
     for _ in range(400):
@@ -289,6 +306,20 @@ def test_verify_vdw_claim_is_fast_on_long_colorings():
     start = time.perf_counter()
     assert verify_vdw_claim(2000, 2, 3, "false", coloring) is False
     assert time.perf_counter() - start < 0.1
+
+
+def test_verify_vdw_claim_is_fast_on_sparse_classes():
+    # 3-member classes {j, j + n/4, j + 3n/4} and singletons on the third
+    # quarter: no class holds a 3-term progression, and each class's steps
+    # come from its 3 differences, not from every step up to its span
+    n = 4800
+    q = n // 4
+    coloring = [i % q if i < 2 * q or i >= 3 * q else q + i - 2 * q for i in range(n)]
+    start = time.perf_counter()
+    assert verify_vdw_claim(n, 2 * q, 3, "false", coloring) is True
+    assert time.perf_counter() - start < 0.2
+    coloring[q // 2] = coloring[q // 2 + q] = coloring[q // 2 + 2 * q] = 0
+    assert verify_vdw_claim(n, 2 * q, 3, "false", coloring) is False
 
 
 def test_vdw_monotone_in_n():
