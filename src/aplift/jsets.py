@@ -6,21 +6,26 @@ every f in F simultaneously. ``jset_witness`` finds the first such pair in a
 fixed total order; ``transfer_witness`` converts a hit for a derived family
 into a pair witness ((a, b*|H|), H) whose decoded progressions all live in A.
 
-Once the singletons miss, ``jset_witness`` skips every size |H| = k that no H
-can hit, by two necessary conditions read off subset-sum bitmaps: in each
-table some k values sum to an s with a + s in A for some base a, and for each
-table j > 0 some k differences f_j(t) - f_0(t) sum into A - A (a hit puts
-both a + S_0 and a + S_j in A). A skipped size holds no hit, so the first hit
-in the search order, or its absence, is the same as without the filter.
+``jset_witness`` scans sizes |H| = 1, 2, ... and skips every size that no
+H can hit: sizes at which some table's least sum of |H| values passes A's
+top member, or its greatest falls short of A's window, and sizes ruled out
+by a necessary condition read off subset-sum bitmaps: for each table j > 0
+some |H| differences f_j(t) - f_0(t) sum into A - A (a hit puts both
+a + S_0 and a + S_j in A). A skipped size holds no hit, so the first hit in
+the search order, or its absence, is the same as without the skips. The
+bitmap filter is built only once the scan has spent as much as the filter
+costs, so it at most doubles the cost of a scan that hits early.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 from typing import Iterator, Optional
 
-from ._bitops import differences, lsb_index, smear_right, subset_sums_by_count
+from ._bitops import differences, differences_cost, lsb_index, subset_sums_by_count, subset_sums_cost
 from .lift import APWitness, verify_ap
 from .sets import IntSet
 
@@ -113,46 +118,50 @@ def _table_sum(table: tuple[int, ...], H: tuple[int, ...]) -> int:
     return sum(table[t - 1] for t in H)
 
 
-# Cap on the bits the size filter holds at once: past it (a huge window top,
-# or a window of 10^7 bits with many tables) the filter is not built.
+# Cap on the bits one table's difference bitmaps hold at once: a table whose
+# differences are too far apart for it stays out of the size filter.
 _FILTER_MAX_BITS = 1 << 27
 
 
-def _table_sizes(A: IntSet, F: FuncFamily, a_max: int, keep: list[int], top: int) -> set[int]:
-    """Sizes k such that in every table some k of the kept indices sum to an
-    s with a + s in A for some a in [1, a_max]. Sums of top or more miss."""
-    good = smear_right((A.bits << A.window.lo) >> 1, a_max - 1)  # bit s: a + s in A
-    sizes = set(range(len(keep) + 1))
-    for tab in F.tables:
-        reach = subset_sums_by_count([tab[t] for t in keep], top)
-        sizes &= {k for k, r in enumerate(reach) if r & good}
-    return sizes
-
-
-def _difference_sizes(A: IntSet, F: FuncFamily, keep: list[int], max_ops: int) -> set[int]:
-    """Sizes k such that for every table j > 0 some k of the kept indices
-    have a sum of f_j(t) - f_0(t) in A - A; every size when finding A - A
-    would take more than max_ops big-int ops.
-
-    A - A is needed only up to B = min(sum |f_j - f_0|, W - 1). Each
-    difference is raised by c = max(0, -min) for the shift-or sums, and the
-    size-k sums are lowered by k*c again before they meet A - A.
-    """
+def _difference_rows(A: IntSet, F: FuncFamily, keep: list[int]) -> tuple[int, list[tuple[list[int], int]]]:
+    """(B, rows): A - A is needed only up to B = min(max_j sum |f_j - f_0|,
+    W - 1), and rows holds, for each table j > 0 within the cap, the
+    differences f_j(t) - f_0(t) over the kept indices raised by
+    c = max(0, -min) for the shift-or sums, with that c."""
     first = F.tables[0]
-    rows = [[tab[t] - first[t] for t in keep] for tab in F.tables[1:]]
-    B = min(max(sum(map(abs, d)) for d in rows), A.window.width - 1)
-    sizes = set(range(len(keep) + 1))
-    if min(A.bits.bit_count(), B + 1) > max_ops:
-        return sizes
+    diffs = [[tab[t] - first[t] for t in keep] for tab in F.tables[1:]]
+    B = min(max(sum(map(abs, d)) for d in diffs), A.window.width - 1)
+    rows = []
+    for d in diffs:
+        c = max(0, -min(d))
+        if len(keep) * (B + len(keep) * c + 1) <= _FILTER_MAX_BITS:
+            rows.append(([x + c for x in d], c))
+    return B, rows
+
+
+# The interpreter work of one scanned subset (H, its table sums, the base
+# mask) in bits touched as ``_bitops`` counts them: about 2 us on CPython 3.11
+# on x86-64. Each subset also shifts A's W-bit map at least once.
+_SUBSET_BITS = 1 << 15
+
+
+def _difference_cost(A: IntSet, B: int, rows: list[tuple[list[int], int]]) -> int:
+    """Cost of ``_difference_sizes``, in bits touched."""
+    return differences_cost(A.bits, B + 1) + sum(
+        subset_sums_cost(len(v), B + len(v) * c + 1) for v, c in rows
+    )
+
+
+def _difference_sizes(A: IntSet, B: int, rows: list[tuple[list[int], int]]) -> set[int]:
+    """Sizes k such that in every row some k values, lowered again by k*c,
+    sum to a member of A - A: for a hit (a, H), a + S_0 and a + S_j both lie
+    in A, so S_j - S_0 does, and |S_j - S_0| <= B."""
     D = differences(A.bits, B + 1)
     # bit B + x set when |x| <= B and |x| in A - A
     sym = (D << B) | int(f"{D:0{B + 1}b}"[::-1], 2)
-    for d in rows:
-        c = max(0, -min(d))
-        width = B + len(keep) * c + 1
-        if len(keep) * width > _FILTER_MAX_BITS:
-            continue
-        reach = subset_sums_by_count([x + c for x in d], width)
+    sizes = set(range(len(rows[0][0]) + 1))
+    for v, c in rows:
+        reach = subset_sums_by_count(v, B + len(v) * c + 1)
         sizes &= {
             k for k, r in enumerate(reach)
             if (r << B - k * c if B >= k * c else r >> k * c - B) & sym
@@ -161,25 +170,43 @@ def _difference_sizes(A: IntSet, F: FuncFamily, keep: list[int], max_ops: int) -
 
 
 def _scan_sizes(A: IntSet, F: FuncFamily, a_max: int) -> Iterator[int]:
-    """1, then each size k >= 2 that the size filter cannot rule out.
+    """The sizes |H| to scan, ascending: each size k at which every table
+    has some k kept values summing into [lo - a_max, m - 1], with m A's top
+    member, and which the difference filter does not rule out.
 
-    Lazy: the filter is built only when the scan asks past size 1, since
-    the T singletons are cheaper to scan than to filter. An index with some
-    table value >= A's top member m is in no hit (a >= 1), so it is left out
-    of the filter, and every filter bitmap has O(T * m) bits.
-    The difference filter is skipped when finding A - A would cost more
-    big-int ops than there are subsets it could skip.
+    An index with some table value >= m is in no hit (a >= 1), so it is not
+    kept. The sum range is checked on each table's k least and k greatest
+    kept values. Costs are counted in bits touched, a scanned subset as
+    ``_SUBSET_BITS`` plus one W-bit shift. The filter is built before the
+    first size at which the sizes already scanned have cost as much as
+    building it, and only if the sizes left would cost more. So it at most
+    doubles the cost of a scan that hits early, and a miss pays for it once.
     """
-    yield 1
     T = F.horizon
+    per_subset = _SUBSET_BITS + A.window.width
     top = A.window.lo + A.bits.bit_length() - 1
     keep = [t for t in range(T) if all(tab[t] < top for tab in F.tables)]
-    sizes = set(range(2, len(keep) + 1))
-    if sizes and (len(keep) + 1) * top <= _FILTER_MAX_BITS:
-        sizes &= _table_sizes(A, F, a_max, keep, top)
-        if sizes and F.size > 1:
-            sizes &= _difference_sizes(A, F, keep, (1 << T) - T - 1)
-    yield from sorted(sizes)
+    k_min, k_max = 1, len(keep)
+    for tab in F.tables:
+        values = sorted(tab[t] for t in keep)
+        k_max = min(k_max, bisect_right(list(accumulate(values)), top - 1))
+        k_min = max(k_min, 1 + bisect_left(list(accumulate(reversed(values))), A.window.lo - a_max))
+    cost = None  # the filter's cost, until it is built or given up
+    if F.size > 1 and k_min <= k_max:
+        B, rows = _difference_rows(A, F, keep)
+        if rows:
+            cost = _difference_cost(A, B, rows)
+    left = sum(comb(T, k) for k in range(k_min, k_max + 1)) * per_subset
+    spent = 0
+    sizes = None
+    for k in range(k_min, k_max + 1):
+        if cost is not None and spent >= cost:
+            sizes = _difference_sizes(A, B, rows) if cost < left else None
+            cost = None
+        if sizes is None or k in sizes:
+            yield k
+            spent += comb(T, k) * per_subset
+        left -= comb(T, k) * per_subset
 
 
 def jset_witness(A: IntSet, F: FuncFamily, a_max: int) -> Optional[JWitness]:
@@ -190,11 +217,13 @@ def jset_witness(A: IntSet, F: FuncFamily, a_max: int) -> Optional[JWitness]:
     non-members. For each H the surviving bases are found with one
     shift-and-mask pass per table.
 
-    After the singletons miss, sizes |H| at which no H can hit are skipped
-    (``_scan_sizes``): for every table, no sum of |H| values reaches a + s in
-    A, or for some table j > 0 no sum of |H| differences f_j - f_0 lies in
-    A - A. Both are necessary for a hit, so the skipped sizes hold none, and
-    the witness and the None answers are those of the full scan.
+    Sizes |H| at which no H can hit are skipped (``_scan_sizes``): those at
+    which, in some table, no |H| values below A's top member sum into reach
+    of A's window from a base in [1, a_max], and those at which, for some
+    table j > 0, no sum of |H| differences f_j - f_0 lies in A - A. Both hold
+    for every hit, so the skipped sizes hold none, and the witness and the
+    None answers are those of the full scan. Generic random tables rarely
+    rule out a size, and a miss on them still scans all 2^T - 1 subsets.
     """
     if a_max < 1:
         raise ValueError("a_max must be >= 1")

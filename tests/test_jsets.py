@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aplift.jsets import (
+    _difference_rows,
     _difference_sizes,
     _scan_sizes,
-    _table_sizes,
     FuncFamily,
     FuncFamily2D,
     JWitness,
@@ -159,23 +159,24 @@ def test_jset_matches_brute_on_filtered_shapes(salt):
     assert (None if wit is None else (wit.a, wit.H)) == jset_brute(A, tables, a_max)
 
 
-def test_size_filters_never_rule_out_a_hit():
+def test_size_filter_never_rules_out_a_hit():
     rng = random.Random(11)
-    pruned = {"scan": 0, "table": 0, "difference": 0}
+    pruned = {"scan": 0, "difference": 0}
     for _ in range(600):
         A, tables, a_max = random_case(rng)
         F = FuncFamily(tables)
         T = F.horizon
         hits = hit_sizes(A, tables, a_max)
-        everything = set(range(T + 1))
         scanned = set(_scan_sizes(A, F, a_max))
-        # keep every index and every sum: the conditions hold unbounded too
-        table = _table_sizes(A, F, a_max, list(range(T)), A.window.hi + 1)
-        diff = _difference_sizes(A, F, list(range(T)), A.window.width) if F.size > 1 else everything
-        assert hits <= scanned and hits <= table and hits <= diff, (A, tables, a_max)
-        pruned["scan"] += len(set(range(1, T + 1)) - scanned)
-        pruned["table"] += len(everything - table)
-        pruned["difference"] += len(everything - diff)
+        assert hits <= scanned, (A, tables, a_max)
+        pruned["scan"] += T - len(scanned)
+        if F.size > 1:
+            # every index kept and the filter built at once: the condition
+            # holds for every index set and whenever it is built
+            B, rows = _difference_rows(A, F, list(range(T)))
+            diff = _difference_sizes(A, B, rows)
+            assert hits <= diff, (A, tables, a_max)
+            pruned["difference"] += T + 1 - len(diff)
     assert all(pruned.values()), pruned
 
 
@@ -204,6 +205,39 @@ def test_huge_table_value_stays_out_of_the_filter():
         wit = jset_witness(A, FuncFamily(tables), a_max)
         assert time.perf_counter() - start < 0.1
         assert (None if wit is None else (wit.a, wit.H)) == expect
+
+
+def residue_pair_tables(rng, T, base):
+    """Two tables of values = 1 (mod 3) near base: with a = 1 and A the
+    multiples of 3, every singleton misses and every pair's sums hit."""
+    start = base - base % 3 + 1
+    return tuple(tuple(start + 3 * rng.randint(0, 40) for _ in range(T)) for _ in range(2))
+
+
+def test_early_pair_hit_builds_no_filter_on_a_wide_window():
+    # a 2^22-bit window makes the filter cost thousands of window-wide
+    # shifts; the scan finds (1, 2) after 20 singletons and builds none
+    rng = random.Random(2)
+    tables = residue_pair_tables(rng, 20, 0)
+    A = evaluate(Multiples(3), Window(1, 1 << 22))
+    start = time.perf_counter()
+    wit = jset_witness(A, FuncFamily(tables), 1)
+    assert time.perf_counter() - start < 0.1
+    assert (wit.a, wit.H) == (1, (1, 2))
+
+
+def test_early_pair_hit_on_a_window_far_from_one():
+    # table values near 2 * 10^6 put every pair sum in a 300-bit window at
+    # 4 * 10^6; nothing is sized by the window's position
+    rng = random.Random(3)
+    tables = residue_pair_tables(rng, 20, 2 * 10**6)
+    lo = min(tables[0][0] + tables[0][1], tables[1][0] + tables[1][1])
+    A = evaluate(Multiples(3), Window(lo, lo + 300))
+    start = time.perf_counter()
+    wit = jset_witness(A, FuncFamily(tables), 1)
+    assert time.perf_counter() - start < 0.05
+    assert (wit.a, wit.H) == (1, (1, 2))
+    assert jset_brute(A, tables, 1) == (1, (1, 2))
 
 
 def test_verify_jwitness_bounds():

@@ -300,6 +300,25 @@ def test_verify_vdw_claim_matches_brute_oracle():
             assert verify_vdw_claim(n, colors, k, "false", flipped) == (not _has_mono_ap(flipped, k))
 
 
+def test_verify_vdw_claim_matches_brute_oracle_on_sparse_classes():
+    # many colours on long windows: classes with members^2 < span draw their
+    # steps from their members' differences
+    rng = random.Random(13)
+    sparse, answers = 0, set()
+    for _ in range(300):
+        n = rng.randint(50, 400)
+        colors, k = rng.randint(n // 12, n // 3), rng.randint(2, 5)
+        coloring = [rng.randrange(colors) for _ in range(n)]
+        classes = {}
+        for i, c in enumerate(coloring):
+            classes.setdefault(c, []).append(i)
+        sparse += any(len(m) >= k and len(m) ** 2 < m[-1] - m[0] for m in classes.values())
+        answer = not _has_mono_ap(coloring, k)
+        assert verify_vdw_claim(n, colors, k, "false", coloring) == answer
+        answers.add(answer)
+    assert sparse > 100 and answers == {False, True}
+
+
 def test_verify_vdw_claim_is_fast_on_long_colorings():
     rng = random.Random(3)
     coloring = [0, 0, 0] + [rng.randrange(2) for _ in range(1997)]
