@@ -207,10 +207,11 @@ def test_huge_table_value_stays_out_of_the_filter():
         assert (None if wit is None else (wit.a, wit.H)) == expect
 
 
-def residue_pair_tables(rng, T, base):
-    """Two tables of values = 1 (mod 3) near base: with a = 1 and A the
-    multiples of 3, every singleton misses and every pair's sums hit."""
-    start = base - base % 3 + 1
+def residue_pair_tables(rng, T, base, residue=1):
+    """Two tables of values = residue (mod 3) near base. With a = 1 and A the
+    multiples of 3, residue 1 makes every singleton miss and every pair hit,
+    and residue 0 makes every subset miss."""
+    start = base - base % 3 + residue
     return tuple(tuple(start + 3 * rng.randint(0, 40) for _ in range(T)) for _ in range(2))
 
 
@@ -226,18 +227,19 @@ def test_early_pair_hit_builds_no_filter_on_a_wide_window():
     assert (wit.a, wit.H) == (1, (1, 2))
 
 
-def test_early_pair_hit_on_a_window_far_from_one():
-    # table values near 2 * 10^6 put every pair sum in a 300-bit window at
-    # 4 * 10^6; nothing is sized by the window's position
+@pytest.mark.parametrize("residue, expect", [(1, (1, (1, 2))), (0, None)])
+def test_window_far_from_one_scans_only_sizes_that_reach_it(residue, expect):
+    # table values near 2 * 10^6 and a 300-bit window at 4 * 10^6: only pair
+    # sums reach the window, so a miss scans 190 subsets, not 2^20 - 1
     rng = random.Random(3)
-    tables = residue_pair_tables(rng, 20, 2 * 10**6)
+    tables = residue_pair_tables(rng, 20, 2 * 10**6, residue)
     lo = min(tables[0][0] + tables[0][1], tables[1][0] + tables[1][1])
     A = evaluate(Multiples(3), Window(lo, lo + 300))
+    assert list(_scan_sizes(A, FuncFamily(tables), 1)) == [2]
     start = time.perf_counter()
     wit = jset_witness(A, FuncFamily(tables), 1)
     assert time.perf_counter() - start < 0.05
-    assert (wit.a, wit.H) == (1, (1, 2))
-    assert jset_brute(A, tables, 1) == (1, (1, 2))
+    assert (None if wit is None else (wit.a, wit.H)) == expect
 
 
 def test_verify_jwitness_bounds():
