@@ -6,8 +6,8 @@ Kernels: lsb_index, iter_bit_indices, from_indices (build), run_starts,
 smear_right, longest_run (runs), ap_starts (progression mask), hex_head
 (repr), subset_sums_by_count (sums of k of the given values) and
 differences (differences of two set bits), each of the last two with a
-``_cost`` twin giving its cost in bits touched. Bitstring text conversion lives in
-``fileformats``.
+``_cost`` twin giving its cost in bits touched. Bitstring text conversion
+lives in ``fileformats``.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def subset_sums_by_count(values: Iterable[int], width: int) -> list[int]:
     each) sum to s, for s < width and k = 0 .. len(values).
 
     Shift-or dynamic programming: each value v adds reach[k-1] << v to
-    reach[k]; ``subset_sums_cost`` gives the bits it touches.
+    reach[k]; ``subset_sums_cost`` gives its cost.
     """
     mask = (1 << width) - 1
     reach = [1 & mask]
