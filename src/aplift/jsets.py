@@ -229,7 +229,9 @@ def jset_witness(A: IntSet, F: FuncFamily, a_max: int) -> Optional[JWitness]:
         raise ValueError("a_max must be >= 1")
     w = A.window
     T = F.horizon
-    base_mask = (1 << a_max) - 1  # bit a-1 <-> base a
+    # bit a-1 <-> base a; a base a >= w.hi puts every sum (table values are
+    # >= 1) past the window, so the mask stops below it
+    base_mask = (1 << min(a_max, w.hi - 1)) - 1
     for size in _scan_sizes(A, F, a_max):
         for H in combinations(range(1, T + 1), size):
             acc = base_mask

@@ -7,7 +7,10 @@ is a length-L interval on which the set is r-syndetic: bounded gaps over an
 arbitrarily long stretch, the finite shadow of "syndetic on a thick part".
 
 ``vdw_check`` decides whether every coloring of an initial segment forces a
-monochromatic arithmetic progression, by one pruned search on color bitmaps.
+monochromatic arithmetic progression, by one depth-first search that keeps
+each color's forbidden positions as a bitmap (forward checking), drops
+placements that leave a later position with no color (wipeout), and counts
+rather than searches the subtrees of colors that differ only by a renaming.
 """
 
 from __future__ import annotations
@@ -263,15 +266,25 @@ def vdw_check(
 
     One depth-first search over colorings in lexicographic order (position 1
     most significant, color 0 first), so a "false" verdict carries the least
-    counterexample. A position is pruned as soon as its color completes a
-    monochromatic progression ending there.
+    counterexample. Three prunes keep that order's answer:
+
+    - forward checking: each color keeps the set of positions where it would
+      complete a progression, so a color that does so at its position is one
+      bit test;
+    - wipeout: a placement that leaves some later position with no color
+      allowed starts no counterexample, so its subtree is not searched;
+    - color symmetry: a position tries only the colors used so far and one
+      new color. The other unused colors give the same subtree with two
+      colors renamed, so once the new color's subtree is exhausted they are
+      counted, not searched.
 
     The strategy label names what `explored` counts and the budget bounds.
     "exhaustive" (colors**window_len <= EXHAUSTIVE_LIMIT) counts colorings:
     a subtree pruned at 0-based position p counts its colors**(window_len-1-p)
     colorings, so `explored` is the counterexample's lexicographic rank + 1,
-    or colors**window_len on "true". "backtracking" counts color
-    assignments tried. Exceeding the budget yields "unknown" with
+    or colors**window_len on "true". "backtracking" counts the color
+    assignments that the forward-checking search without color symmetry
+    tries, dead or alive. Exceeding the budget yields "unknown" with
     `explored` equal to the budget.
     """
     if window_len < 1 or colors < 1 or ap_len < 1:
@@ -287,35 +300,69 @@ def vdw_check(
         # every point is a one-term progression, so any coloring has one
         return VdwResult("true", None, strategy, 0, budget)
 
-    # ends[p]: for each progression of k terms whose last term is position p,
-    # the bitmap of its other k - 1 terms; built when the search first gets to p
-    ends: list[list[int]] = []
-    # classes[c]: bit p set when position p holds color c. An unused color
-    # never completes a progression, so position p needs no color above p,
-    # and classes grows by one color at a time.
-    classes: list[int] = []
+    # forb[c]: bit x set when color c at position x would complete a
+    # progression whose other terms are already colored. For k = 2 that is
+    # every position after c's first, kept as a negative int so that no mask
+    # is sized by n. Both lists grow by one color at a time, when a color is
+    # first used; an unused color keeps forb 0 and no members.
+    forb: list[int] = []
+    members: list[list[int]] = []  # positions holding each color, ascending
     coloring: list[int] = []  # colors of positions 0 .. p - 1
-    explored = 0
+    undo: list[int] = []  # forb[coloring[q]] before position q was colored
+    opened: list[int] = []  # explored before each used color's first position
+    unit = 0 if exhaustive else 1  # what a live inner node adds to explored
+    inner = range(k - 3)  # the terms of a progression before its last three
+    used = explored = 0
     p = c = 0
     while True:
-        if c == colors:  # every color at p tried: back up to p - 1's next color
+        if c > used or c == colors:  # every allowed color at p tried: back up
             if p == 0:
                 return VdwResult("true", None, strategy, explored, budget)
             p -= 1
             c = coloring.pop()
-            classes[c] ^= 1 << p
+            mem = members[c]
+            mem.pop()
+            forb[c] = undo.pop()
+            if not mem:  # c was new at p: the unused colors above it repeat its subtree
+                used = c
+                explored += (colors - c - 1) * (explored - opened.pop())
+                if explored > budget:
+                    return VdwResult("unknown", None, strategy, budget, budget)
             c += 1
             continue
-        if p == len(ends):
-            ends.append([sum(1 << (p - j * d) for j in range(1, k)) for d in range(1, p // (k - 1) + 1)])
-        if c == len(classes):
-            classes.append(0)
-        cls = classes[c]
-        dead = False
-        for m in ends[p]:
-            if cls & m == m:
-                dead = True
-                break
+        if c == len(forb):
+            forb.append(0)
+            members.append([])
+        f = forb[c]
+        dead = f >> p & 1
+        if not dead and p < n - 1:
+            if k == 2:
+                new = -1 << p + 1
+            else:
+                # x = p + d is forbidden when p - d, ..., p - (k - 2)d hold c:
+                # walk c's members q = p - d downward until x or a term leaves [0, n)
+                new = 0
+                for q in reversed(members[c]):
+                    d = p - q
+                    if p + d >= n or (k - 2) * d > p:
+                        break
+                    t = q
+                    for _ in inner:
+                        t -= d
+                        if coloring[t] != c:
+                            break
+                    else:
+                        new |= 1 << p + d
+            if new and (used == colors or c == colors - 1):
+                # every color is in use, so a position in new may be wiped out
+                wiped = new
+                for o in range(colors):
+                    if o != c:
+                        wiped &= forb[o]
+                        if not wiped:
+                            break
+                else:
+                    dead = 1
         if not exhaustive:
             explored += 1
         elif dead or p == n - 1:
@@ -328,5 +375,10 @@ def vdw_check(
         coloring.append(c)
         if p == n - 1:
             return VdwResult("false", tuple(coloring), strategy, explored, budget)
-        classes[c] = cls | 1 << p
+        undo.append(f)
+        forb[c] = f | new
+        members[c].append(p)
+        if c == used:
+            used += 1
+            opened.append(explored - unit)
         p, c = p + 1, 0

@@ -7,6 +7,7 @@ loops; frozen constants were produced by a standalone run of the same logic.
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,6 +206,23 @@ def test_huge_table_value_stays_out_of_the_filter():
         wit = jset_witness(A, FuncFamily(tables), a_max)
         assert time.perf_counter() - start < 0.1
         assert (None if wit is None else (wit.a, wit.H)) == expect
+
+
+def test_base_mask_stops_below_the_window_top():
+    # table values are >= 1, so no base a >= 300 hits a window ending at 300:
+    # a_max = 10^8 answers as a_max = 299 does, without a 10^8-bit mask
+    A = IntSet.from_members(Window(1, 300), [300])
+    for tables, expect in [(((1, 3),), (299, (1,))), (((2, 3), (1, 5)), None)]:
+        assert jset_brute(A, tables, 299) == expect
+        tracemalloc.start()
+        try:
+            wit = jset_witness(A, FuncFamily(tables), 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (None if wit is None else (wit.a, wit.H)) == expect
+        assert wit == jset_witness(A, FuncFamily(tables), 299)
+        assert peak < 2**20
 
 
 def residue_pair_tables(rng, T, base, residue=1):

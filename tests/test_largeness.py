@@ -7,6 +7,8 @@ quadratic-scan script before this file was written.
 import itertools
 import random
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,7 +227,7 @@ def lex_oracle(n, colors, k):
 def test_vdw_matches_enumeration_oracle():
     # every case is below EXHAUSTIVE_LIMIT, so explored counts colorings
     for n in range(1, 13):
-        for colors in range(1, 5):
+        for colors in range(1, 6):
             if colors**n > 1 << 12:
                 continue
             for k in range(1, 6):
@@ -242,13 +244,97 @@ def test_vdw_matches_enumeration_oracle():
                         assert (res.verdict, res.coloring, res.explored) == (verdict, coloring, answer), case
 
 
+class _Budget(Exception):
+    pass
+
+
+def forward_checking_oracle(n, colors, k, budget):
+    """(verdict, coloring, explored) of the plain forward-checking search:
+    lexicographic order, every color tried at every position (no color
+    symmetry), a color dead when it completes a progression, and a live
+    placement pruned when some later position has no color left that does
+    not complete one. explored counts as the strategy label says."""
+    if k == 1:
+        return "true", None, 0
+    exhaustive = colors**n <= EXHAUSTIVE_LIMIT
+    col = []
+    explored = 0
+
+    def completes(x, c):
+        # c at x completes a progression whose other k - 1 terms are in col
+        return any(all(col[x - j * d] == c for j in range(1, k))
+                   for d in range(max(1, x - len(col) + 1), x // (k - 1) + 1))
+
+    def search(p):
+        nonlocal explored
+        for c in range(colors):
+            dead = completes(p, c)
+            if not dead and p < n - 1:
+                col.append(c)
+                dead = any(all(completes(x, o) for o in range(colors)) for x in range(p + 1, n))
+                col.pop()
+            if not exhaustive:
+                explored += 1
+            elif dead or p == n - 1:
+                explored += colors ** (n - 1 - p)
+            if explored > budget:
+                raise _Budget
+            if dead:
+                continue
+            col.append(c)
+            if p == n - 1 or search(p + 1):
+                return True
+            col.pop()
+        return False
+
+    try:
+        found = search(0)
+    except _Budget:
+        return "unknown", None, budget
+    return ("false", tuple(col), explored) if found else ("true", None, explored)
+
+
+def _check_against_forward_checking(n, colors, k):
+    verdict, coloring, answer = forward_checking_oracle(n, colors, k, 1 << 40)
+    for budget in {b for b in (1, answer - 1, answer, answer + 1) if b >= 1}:
+        res = vdw_check(n, colors, k, budget=budget)
+        case = (n, colors, k, budget)
+        if budget < answer:
+            assert (res.verdict, res.coloring, res.explored) == ("unknown", None, budget), case
+        else:
+            assert (res.verdict, res.coloring, res.explored) == (verdict, coloring, answer), case
+
+
+def test_vdw_matches_forward_checking_oracle_on_the_grid():
+    # both labels: colorings counted below EXHAUSTIVE_LIMIT, color
+    # assignments of the search without symmetry above it
+    labels = set()
+    for n in range(1, 14):
+        for colors in range(1, 6):
+            for k in range(1, 6):
+                _check_against_forward_checking(n, colors, k)
+                labels.add(colors**n <= EXHAUSTIVE_LIMIT)
+    assert labels == {False, True}
+
+
+def test_vdw_matches_forward_checking_oracle_on_the_bench_cases(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    cases = workloads.VDW_CASES
+    assert any(colors**n > EXHAUSTIVE_LIMIT for n, colors, _ in cases)
+    for n, colors, k in cases:
+        _check_against_forward_checking(n, colors, k)
+
+
 @pytest.mark.parametrize("n, colors, k, explored", [
-    (18, 2, 4, 19154), (12, 3, 3, 20873), (34, 2, 4, 3518),
-    (35, 2, 4, 40702), (25, 3, 3, 16061), (26, 3, 3, 35709),
+    (18, 2, 4, 19154), (12, 3, 3, 20873), (34, 2, 4, 1128),
+    (35, 2, 4, 14082), (25, 3, 3, 2990), (26, 3, 3, 6318),
 ])
 def test_vdw_explored_pinned(n, colors, k, explored):
     # exhaustive counts colorings up to the least counterexample, backtracking
-    # counts color assignments; both are fixed by the lexicographic order
+    # counts the color assignments of the forward-checking search without
+    # color symmetry; both are fixed by the lexicographic order
     res = vdw_check(n, colors, k)
     assert res.strategy == ("exhaustive" if colors**n <= EXHAUSTIVE_LIMIT else "backtracking")
     assert res.explored == explored
@@ -259,12 +345,12 @@ def test_vdw_explored_pinned(n, colors, k, explored):
 
 
 def test_vdw_long_window_follows_the_nodes_searched():
-    # W(3; 2) = 9 kills every branch by depth 9: only the positions reached
-    # get their progression masks, however long the window
+    # W(3; 2) = 9 kills every branch by depth 9: the search's cost follows
+    # the positions it reaches, however long the window
     start = time.perf_counter()
     res = vdw_check(2000, 2, 3)
     elapsed = time.perf_counter() - start
-    assert (res.verdict, res.coloring, res.strategy, res.explored) == ("true", None, "backtracking", 158)
+    assert (res.verdict, res.coloring, res.strategy, res.explored) == ("true", None, "backtracking", 74)
     assert elapsed < 0.1
 
 
@@ -274,8 +360,44 @@ def test_vdw_huge_window_sizes_nothing_by_n():
     start = time.perf_counter()
     res = vdw_check(10**9, 2, 3)
     elapsed = time.perf_counter() - start
-    assert (res.verdict, res.coloring, res.strategy, res.explored) == ("true", None, "backtracking", 158)
+    assert (res.verdict, res.coloring, res.strategy, res.explored) == ("true", None, "backtracking", 74)
     assert elapsed < 0.1
+
+
+def test_vdw_two_term_progressions_on_a_huge_window():
+    # k = 2 forbids every later position at once, kept as a negative mask
+    start = time.perf_counter()
+    res = vdw_check(10**9, 2, 2)
+    assert time.perf_counter() - start < 0.1
+    assert (res.verdict, res.coloring, res.strategy) == ("true", None, "backtracking")
+    res = vdw_check(10**9, 10**9, 2, budget=10_000)
+    assert time.perf_counter() - start < 0.1
+    assert (res.verdict, res.explored) == ("unknown", 10_000)
+
+
+def test_vdw_w33_is_decided_fast():
+    # W(3; 3) = 27
+    start = time.perf_counter()
+    res = vdw_check(27, 3, 3)
+    assert time.perf_counter() - start < 0.5
+    assert (res.verdict, res.coloring, res.strategy) == ("true", None, "backtracking")
+
+
+def test_vdw_deep_search_is_not_cubic_in_its_depth():
+    # many colors make the search run deep: its cost per node must not grow
+    # with the masks of every progression ending at each position reached
+    start = time.perf_counter()
+    res = vdw_check(400, 400, 3)
+    assert time.perf_counter() - start < 0.3
+    assert res.verdict == "false" and not _has_mono_ap(res.coloring, 3)
+    tracemalloc.start()
+    try:
+        res = vdw_check(10**9, 10**9, 3, budget=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.verdict, res.explored) == ("unknown", 10_000)
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize("colors", [1, 2, 3, 4, 5, 1025, 2**20, 2**20 + 1])
