@@ -12,10 +12,13 @@ no floating-point values, identical bytes for identical runs apart from
 The table ``_CLAIMS`` is the single source of the certificate kinds (README
 lists them): each kind's row names its input keys, its parameter and witness
 fields, its truncation notes and the verifier that re-checks it, which lives
-beside the kind's search. The builders place their values by the rows, and
-``verify_certificate`` decodes each field by its name through ``_FIELDS``;
-this module holds no semantic check of its own. Only the evidence that a
-chain's kind adds is written and read by hand.
+beside the kind's search. ``_FIELDS`` holds each field's JSON shape, its
+encoder and its decoder, so a field is written beside where it is read:
+``certify`` places a kind's values by its row and writes each one through
+its field, and ``verify_certificate`` decodes each one back. This module
+holds no semantic check of its own. Only the evidence that a chain's kind
+adds is written and read by hand, by ``chain_certificate`` and
+``_chain_report``.
 
 One asymmetry is deliberate: a "vdw" certificate whose verdict is "false"
 carries the counterexample coloring and is re-checked independently, while a
@@ -43,9 +46,9 @@ from .fileformats import (
     write_family2d,
     write_intset,
 )
-from .jsets import FuncFamily, FuncFamily2D, JWitness, JWitness2D, verify_jset_claim, verify_transfer_claim
-from .largeness import PwsWitness, VdwResult, verify_pws_claim, verify_vdw_claim
-from .lift import APWitness, Box2D, verify_ap_claim, verify_pws2d_claim
+from .jsets import JWitness, verify_jset_claim, verify_transfer_claim
+from .largeness import PwsWitness, verify_pws_claim, verify_vdw_claim
+from .lift import Box2D, verify_ap_claim, verify_pws2d_claim
 from .sets import IntSet, SetExpr, Window, evaluate
 from .towers import KIND_QUASI_CENTRAL, Chain, ChainReport, TranslateProbe, verify_chain_report
 
@@ -162,6 +165,7 @@ class _Field(NamedTuple):
     what: str  # the shape the JSON value must have, for the error message
     accepts: Callable[[object], bool]
     decode: Optional[Callable] = None  # None keeps the JSON value as it is
+    encode: Optional[Callable] = None  # None writes the value as it is given
 
 
 _POSITIVE = _Field(
@@ -173,13 +177,16 @@ _FIELDS = {
          "a1", "a2", "x_max", "pws_start", "n", "colors", "ap_len"),
         _POSITIVE,
     ),
-    "H": _Field("a list of integers", _is_ints, tuple),
-    "box": _Field("[a_lo, a_hi, d_lo, d_hi]", lambda v: _is_ints(v, 4), lambda v: Box2D(*v)),
+    "H": _Field("a list of integers", _is_ints, tuple, list),
+    "box": _Field(
+        "[a_lo, a_hi, d_lo, d_hi]", lambda v: _is_ints(v, 4), lambda v: Box2D(*v),
+        lambda b: [b.a_lo, b.a_hi, b.d_lo, b.d_hi],
+    ),
     "expr": _Field("a text", _is_text, lambda v: parse_dsl(v).expr),
     "window": _Field("[lo, hi]", lambda v: _is_ints(v, 2), lambda v: Window(*v)),
     "set_text": _Field("a text", _is_text, read_intset),
-    "family": _Field("a text", _is_text, read_family),
-    "family2d": _Field("a text", _is_text, read_family2d),
+    "family": _Field("a text", _is_text, read_family, write_family),
+    "family2d": _Field("a text", _is_text, read_family2d, write_family2d),
     "chain": _Field("a text", _is_text, read_chain),
     "families": _Field(
         "a list of texts",
@@ -194,7 +201,10 @@ _FIELDS = {
     "levels": _Field("a list", lambda v: isinstance(v, list)),
     "jset": _Field("a list", lambda v: isinstance(v, list)),
     "verdict": _Field("'true' or 'false'", lambda v: v in ("true", "false")),
-    "coloring": _Field("null or a list of integers", lambda v: v is None or _is_ints(v)),
+    "coloring": _Field(
+        "null or a list of integers", lambda v: v is None or _is_ints(v),
+        encode=lambda v: None if v is None else list(v),
+    ),
 }
 
 
@@ -220,58 +230,36 @@ def _field(section: dict, name: str):
 # --- certificate builders ----------------------------------------------------
 
 
-def _certify(kind: str, set_inputs: dict, **values) -> dict:
-    """Certificate of a kind with its JSON field values placed by its row;
-    ``set_inputs`` holds the set's own keys, or nothing for a kind without one."""
-    claim = _CLAIMS[kind]
-    inputs = dict(set_inputs, **{name: values[name] for name in claim.inputs if name != "set"})
-    params = {name: values[name] for name in claim.params}
-    witness = {name: values[name] for name in claim.witness + claim.recorded}
-    return build_certificate(kind, inputs, params, witness)
+def certify(kind: str, set_inputs: dict, **values) -> dict:
+    """Certificate of any kind but the chain, from the values its row names.
+
+    ``set_inputs`` holds the set's own keys (``inputs_for_expr`` or
+    ``inputs_for_set``), or nothing for a kind without a set. Each value is
+    written through its field's encoder, and a written value that its field
+    would not read back raises ``ValueError``: so only a decided vdw verdict
+    is certifiable. The ``recorded`` fields are written as given.
+    """
+    claim = _CLAIMS.get(kind)
+    if claim is None or kind == "chain":
+        raise ValueError(f"certify builds no {kind!r} certificate (a chain's is chain_certificate's)")
+    sections = ([n for n in claim.inputs if n != "set"], claim.params, claim.witness + claim.recorded)
+    names = [name for section in sections for name in section]
+    if values.keys() != set(names):
+        raise TypeError(f"a {kind} certificate takes {', '.join(names)}")
+    inputs, params, witness = ({n: _write(n, values[n]) for n in section} for section in sections)
+    return build_certificate(kind, dict(set_inputs, **inputs), params, witness)
 
 
-def ap_certificate(set_inputs: dict, wit: APWitness) -> dict:
-    return _certify("ap", set_inputs, l=wit.l, a=wit.a, d=wit.d)
-
-
-def pws_certificate(set_inputs: dict, r: int, L: int, start: int) -> dict:
-    return _certify("pws", set_inputs, r=r, L=L, start=start)
-
-
-def pws2d_certificate(
-    set_inputs: dict,
-    l: int,
-    box: Box2D,
-    r1: int,
-    r2: int,
-    L1: int,
-    L2: int,
-    subbox: Box2D,
-) -> dict:
-    box_json = [box.a_lo, box.a_hi, box.d_lo, box.d_hi]
-    return _certify(
-        "pws2d", set_inputs, l=l, box=box_json, r1=r1, r2=r2, L1=L1, L2=L2, a0=subbox.a_lo, d0=subbox.d_lo
-    )
-
-
-def jset_certificate(
-    set_inputs: dict, family: FuncFamily, a_max: int, wit: JWitness
-) -> dict:
-    return _certify("jset", set_inputs, family=write_family(family), a_max=a_max, a=wit.a, H=list(wit.H))
-
-
-def jset2d_certificate(
-    set_inputs: dict,
-    family2d: FuncFamily2D,
-    b: int,
-    l: int,
-    a_max: int,
-    wit: JWitness2D,
-) -> dict:
-    return _certify(
-        "jset2d", set_inputs, family2d=write_family2d(family2d), b=b, l=l, a_max=a_max,
-        a1=wit.a1, a2=wit.a2, H=list(wit.H),
-    )
+def _write(name: str, value):
+    """Encode one field by its name; a value the name would not decode is refused."""
+    field = _FIELDS.get(name)
+    if field is None:  # a recorded field
+        return value
+    if field.encode is not None:
+        value = field.encode(value)
+    if not field.accepts(value):
+        raise ValueError(f"{name} must be {field.what}")
+    return value
 
 
 def chain_certificate(chain: Chain, report: ChainReport) -> dict:
@@ -295,16 +283,6 @@ def chain_certificate(chain: Chain, report: ChainReport) -> dict:
             for per_level in report.jset_witnesses
         ]
     return build_certificate("chain", inputs, params, witness)
-
-
-def vdw_certificate(n: int, colors: int, ap_len: int, result: VdwResult) -> dict:
-    if result.verdict not in ("true", "false"):
-        raise ValueError("only decided outcomes are certifiable")
-    return _certify(
-        "vdw", {}, n=n, colors=colors, ap_len=ap_len, verdict=result.verdict,
-        coloring=None if result.coloring is None else list(result.coloring),
-        strategy=result.strategy, explored=result.explored,
-    )
 
 
 # --- verification ------------------------------------------------------------

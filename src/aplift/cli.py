@@ -106,7 +106,7 @@ def _cmd_analyze(args) -> int:
             print(f"no length-{args.L} interval is {args.r}-syndetic")
             return EXIT_NEGATIVE
         print(f"witness interval [{wit.interval[0]}, {wit.interval[1]}] r={args.r}")
-        _emit(args, certs.pws_certificate(set_inputs, args.r, args.L, wit.start))
+        _emit(args, certs.certify("pws", set_inputs, r=args.r, L=args.L, start=wit.start))
     return EXIT_OK
 
 
@@ -117,7 +117,7 @@ def _cmd_ap(args) -> int:
         print(f"no progression with {args.len + 1} terms")
         return EXIT_NEGATIVE
     print(f"witness a={wit.a} d={wit.d} l={wit.l}")
-    _emit(args, certs.ap_certificate(set_inputs, wit))
+    _emit(args, certs.certify("ap", set_inputs, l=wit.l, a=wit.a, d=wit.d))
     return EXIT_OK
 
 
@@ -139,10 +139,10 @@ def _cmd_lift(args) -> int:
         f"witness sub-box {sub.a_lo}:{sub.a_hi}x{sub.d_lo}:{sub.d_hi}"
         f" blocks ({args.r1}, {args.r2})"
     )
-    _emit(
-        args,
-        certs.pws2d_certificate(set_inputs, args.len, box, args.r1, args.r2, L1, L2, sub),
-    )
+    _emit(args, certs.certify(
+        "pws2d", set_inputs, l=args.len, box=box, r1=args.r1, r2=args.r2, L1=L1, L2=L2,
+        a0=sub.a_lo, d0=sub.d_lo,
+    ))
     return EXIT_OK
 
 
@@ -154,7 +154,7 @@ def _cmd_jset(args) -> int:
         print(f"no witness with base a <= {args.a_max}")
         return EXIT_NEGATIVE
     print(f"witness a={wit.a} H={{{', '.join(str(t) for t in wit.H)}}}")
-    _emit(args, certs.jset_certificate(set_inputs, F, args.a_max, wit))
+    _emit(args, certs.certify("jset", set_inputs, family=F, a_max=args.a_max, a=wit.a, H=wit.H))
     return EXIT_OK
 
 
@@ -169,10 +169,10 @@ def _cmd_transfer(args) -> int:
         f"witness base ({wit.a1}, {wit.a2})"
         f" H={{{', '.join(str(t) for t in wit.H)}}} depth {args.len}"
     )
-    _emit(
-        args,
-        certs.jset2d_certificate(set_inputs, F2D, args.b, args.len, args.a_max, wit),
-    )
+    _emit(args, certs.certify(
+        "jset2d", set_inputs, family2d=F2D, b=args.b, l=args.len, a_max=args.a_max,
+        a1=wit.a1, a2=wit.a2, H=wit.H,
+    ))
     return EXIT_OK
 
 
@@ -232,7 +232,10 @@ def _cmd_vdw(args) -> int:
         return EXIT_BUDGET
     if res.coloring is not None:
         print("coloring " + "".join(str(c) for c in res.coloring))
-    _emit(args, certs.vdw_certificate(args.n, args.colors, args.len, res))
+    _emit(args, certs.certify(
+        "vdw", {}, n=args.n, colors=args.colors, ap_len=args.len, verdict=res.verdict,
+        coloring=res.coloring, strategy=res.strategy, explored=res.explored,
+    ))
     return EXIT_OK if res.verdict == "true" else EXIT_NEGATIVE
 
 

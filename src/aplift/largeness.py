@@ -201,17 +201,15 @@ class VdwResult:
 
 
 def search_budget() -> int:
-    """Search budget, overridable through the APLIFT_BUDGET variable."""
+    """Search budget, overridable through the APLIFT_BUDGET variable;
+    ``vdw_check`` refuses one below 1, whichever way it is given."""
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_VDW_BUDGET
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be >= 1")
-    return value
 
 
 def _has_mono_ap(coloring, ap_len: int) -> bool:
@@ -291,6 +289,8 @@ def vdw_check(
         raise ValueError("window_len, colors and ap_len must be >= 1")
     if budget is None:
         budget = search_budget()
+    if budget < 1:
+        raise ValueError(f"the search budget (budget or {BUDGET_ENV_VAR}) must be >= 1, got {budget}")
     n, k = window_len, ap_len
     # 2**n > EXHAUSTIVE_LIMIT from n = its bit length on, so the power is only
     # taken for small n

@@ -13,13 +13,9 @@ import time
 from _mutate import leaf_paths, mutate_at
 from aplift.certificates import (
     CertificateError,
-    ap_certificate,
+    certify,
     dumps_certificate,
     inputs_for_expr,
-    jset2d_certificate,
-    jset_certificate,
-    pws_certificate,
-    vdw_certificate,
     verify_certificate,
 )
 from aplift.jsets import (
@@ -216,27 +212,33 @@ def _random_certificates(rng, count):
         if which == 0:
             A = evaluate(Multiples(q), Window(1, hi))
             wit = ap_search(A, 1 + i % 3)
-            certs.append(ap_certificate(inputs_for_expr(Multiples(q), A.window), wit))
+            certs.append(certify("ap", inputs_for_expr(Multiples(q), A.window),
+                                 l=wit.l, a=wit.a, d=wit.d))
         elif which == 1:
             A = evaluate(Multiples(q), Window(1, hi))
             wit = find_pws_witness(A, q, 50)
-            certs.append(pws_certificate(
-                inputs_for_expr(Multiples(q), A.window), q, 50, wit.start))
+            certs.append(certify(
+                "pws", inputs_for_expr(Multiples(q), A.window), r=q, L=50, start=wit.start))
         elif which == 2:
             A = evaluate(Multiples(q), Window(1, 300))
             F = FuncFamily(((1, 2, 3, 4),))
             wit = jset_witness(A, F, 50)
-            certs.append(jset_certificate(
-                inputs_for_expr(Multiples(q), A.window), F, 50, wit))
+            certs.append(certify(
+                "jset", inputs_for_expr(Multiples(q), A.window), family=F, a_max=50,
+                a=wit.a, H=wit.H))
         elif which == 3:
             n = 5 + i % 3
-            certs.append(vdw_certificate(n, 2, 3, vdw_check(n, 2, 3)))
+            res = vdw_check(n, 2, 3)
+            certs.append(certify(
+                "vdw", {}, n=n, colors=2, ap_len=3, verdict=res.verdict, coloring=res.coloring,
+                strategy=res.strategy, explored=res.explored))
         else:
             A = evaluate(Multiples(2), Window(1, hi))
             F2D = FuncFamily2D((((1,), (1,)),))
             wit = transfer_witness(A, F2D, b=1, l=1, a_max=64)
-            certs.append(jset2d_certificate(
-                inputs_for_expr(Multiples(2), A.window), F2D, 1, 1, 64, wit))
+            certs.append(certify(
+                "jset2d", inputs_for_expr(Multiples(2), A.window), family2d=F2D, b=1, l=1,
+                a_max=64, a1=wit.a1, a2=wit.a2, H=wit.H))
     return certs
 
 

@@ -7,27 +7,24 @@ import pytest
 
 from _mutate import all_mutations, leaf_paths
 from aplift.certificates import (
+    _CLAIMS,
+    _FIELDS,
     CertificateError,
     DigestMismatch,
     MalformedPayload,
     UnknownKind,
-    ap_certificate,
     build_certificate,
+    certify,
     chain_certificate,
     dumps_certificate,
     inputs_for_expr,
     inputs_for_set_text,
-    jset2d_certificate,
-    jset_certificate,
-    pws2d_certificate,
-    pws_certificate,
-    vdw_certificate,
     verify_certificate,
 )
 from aplift.fileformats import write_intset
 from aplift.jsets import FuncFamily, FuncFamily2D, jset_witness, transfer_witness
 from aplift.largeness import find_pws_witness, vdw_check
-from aplift.lift import APWitness, ap_search, find_pws_witness_2d, induced_box, lift
+from aplift.lift import ap_search, find_pws_witness_2d, induced_box, lift
 from aplift.sets import Interval, Multiples, Union, Window, evaluate
 from aplift.towers import (
     KIND_C_SET,
@@ -45,14 +42,15 @@ def evens_inputs(hi=100):
 
 def make_ap_cert():
     A = evaluate(Multiples(2), Window(1, 100))
-    return ap_certificate(evens_inputs(), ap_search(A, 3))
+    wit = ap_search(A, 3)
+    return certify("ap", evens_inputs(), l=wit.l, a=wit.a, d=wit.d)
 
 
 def make_pws_cert():
     expr = Union((Interval(40, 60), Multiples(7)))
     A = evaluate(expr, Window(1, 100))
     wit = find_pws_witness(A, 1, 21)
-    return pws_certificate(inputs_for_expr(expr, A.window), 1, 21, wit.start)
+    return certify("pws", inputs_for_expr(expr, A.window), r=1, L=21, start=wit.start)
 
 
 def make_pws2d_cert():
@@ -60,8 +58,9 @@ def make_pws2d_cert():
     box = induced_box(A.window, 2)
     B = lift(A, 2, box)
     sub = find_pws_witness_2d(B, 3, 3, 6, 6)
-    return pws2d_certificate(
-        inputs_for_expr(Multiples(3), A.window), 2, box, 3, 3, 6, 6, sub
+    return certify(
+        "pws2d", inputs_for_expr(Multiples(3), A.window), l=2, box=box, r1=3, r2=3, L1=6, L2=6,
+        a0=sub.a_lo, d0=sub.d_lo,
     )
 
 
@@ -69,14 +68,20 @@ def make_jset_cert():
     A = evaluate(Multiples(3), Window(1, 300))
     F = FuncFamily(((1, 2, 3, 4), (2, 4, 6, 8)))
     wit = jset_witness(A, F, 10)
-    return jset_certificate(inputs_for_expr(Multiples(3), A.window), F, 10, wit)
+    return certify("jset", inputs_for_expr(Multiples(3), A.window), family=F, a_max=10,
+                   a=wit.a, H=wit.H)
 
 
 def make_jset2d_cert():
     A = evaluate(Multiples(2), Window(1, 200))
     F2D = FuncFamily2D((((1,), (1,)),))
     wit = transfer_witness(A, F2D, b=1, l=1, a_max=64)
-    return jset2d_certificate(inputs_for_expr(Multiples(2), A.window), F2D, 1, 1, 64, wit)
+    return certify_jset2d(inputs_for_expr(Multiples(2), A.window), F2D, wit)
+
+
+def certify_jset2d(set_inputs, F2D, wit):
+    return certify("jset2d", set_inputs, family2d=F2D, b=1, l=1, a_max=64,
+                   a1=wit.a1, a2=wit.a2, H=wit.H)
 
 
 def make_chain_cert_qc():
@@ -97,12 +102,17 @@ def make_chain_cert_cset():
     return chain_certificate(chain, report)
 
 
+def certify_vdw(n, colors, k, res):
+    return certify("vdw", {}, n=n, colors=colors, ap_len=k, verdict=res.verdict,
+                   coloring=res.coloring, strategy=res.strategy, explored=res.explored)
+
+
 def make_vdw_true_cert():
-    return vdw_certificate(9, 2, 3, vdw_check(9, 2, 3))
+    return certify_vdw(9, 2, 3, vdw_check(9, 2, 3))
 
 
 def make_vdw_false_cert():
-    return vdw_certificate(8, 2, 3, vdw_check(8, 2, 3))
+    return certify_vdw(8, 2, 3, vdw_check(8, 2, 3))
 
 
 ALL_BUILDERS = [
@@ -164,7 +174,7 @@ def test_verify_with_external_inputs():
 def test_verify_set_text_inputs():
     A = evaluate(Multiples(2), Window(1, 100))
     inputs = inputs_for_set_text(write_intset(A))
-    cert = ap_certificate(inputs, APWitness(2, 2, 3))
+    cert = certify("ap", inputs, l=3, a=2, d=2)
     assert verify_certificate(cert) is True
 
 
@@ -248,8 +258,36 @@ def test_chain_certificate_requires_pass():
 
 def test_vdw_certificate_requires_decision():
     res = vdw_check(40, 3, 3, budget=5)
+    assert res.verdict == "unknown"
+    with pytest.raises(ValueError, match="verdict"):
+        certify_vdw(40, 3, 3, res)
+
+
+@pytest.mark.parametrize("builder", ALL_BUILDERS)
+def test_every_encoder_inverts_its_decoder(builder):
+    # each row field with an encoder writes back the JSON value it decodes
+    cert = builder()
+    claim = _CLAIMS[cert["kind"]]
+    sections = ((cert["inputs"], claim.inputs), (cert["params"], claim.params),
+                (cert["witness"], claim.witness))
+    for section, names in sections:
+        for name in names:
+            field = _FIELDS.get(name)
+            if field is not None and field.encode is not None:
+                value = section[name] if field.decode is None else field.decode(section[name])
+                assert field.encode(value) == section[name], name
+
+
+def test_certify_refuses_what_it_could_not_read_back():
+    # the unknown vdw verdict is test_vdw_certificate_requires_decision's
+    with pytest.raises(ValueError, match="a must be an integer >= 1"):
+        certify("ap", evens_inputs(), l=3, a=0, d=2)
+    # a chain's evidence is shaped by chain_certificate, and a field the row
+    # does not name is an error, not a silent drop
     with pytest.raises(ValueError):
-        vdw_certificate(40, 3, 3, res)
+        certify("chain", {}, chain="", x_max=1, translate=[], levels=[])
+    with pytest.raises(TypeError):
+        certify("ap", evens_inputs(), l=3, a=2, d=2, start=1)
 
 
 def test_jset2d_step_binding_checked():
@@ -299,7 +337,7 @@ def test_jset2d_binding_and_base_bound_checked_alone():
     A = evaluate(Multiples(2), Window(1, 200))
     F2D = FuncFamily2D((((2,), (1,)),))
     wit = transfer_witness(A, F2D, b=1, l=1, a_max=64)
-    cert = jset2d_certificate(inputs_for_expr(Multiples(2), A.window), F2D, 1, 1, 64, wit)
+    cert = certify_jset2d(inputs_for_expr(Multiples(2), A.window), F2D, wit)
     assert verify_certificate(cert) and wit.a1 == 2
     step = build_certificate("jset2d", cert["inputs"], cert["params"],
                              {**cert["witness"], "a2": wit.a2 + 2})

@@ -185,6 +185,17 @@ def test_vdw_exit_codes(capsys, tmp_path):
     assert code == 3 and "budget" in out
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_vdw_budget_below_one_is_bad_input(capsys, monkeypatch, budget):
+    # the flag and the variable meet the same rule in vdw_check
+    code, out, err = run(capsys, "vdw", "--n", "5", "--colors", "2", "--len", "3",
+                         "--budget", budget)
+    assert code == 2 and "explored" not in out and "must be >= 1" in err
+    monkeypatch.setenv("APLIFT_BUDGET", budget)
+    code, out, err = run(capsys, "vdw", "--n", "5", "--colors", "2", "--len", "3")
+    assert code == 2 and "APLIFT_BUDGET" in err
+
+
 def test_set_file_input(capsys, tmp_path):
     A = evaluate(Multiples(2), Window(1, 100))
     sf = tmp_path / "set.txt"
@@ -305,18 +316,21 @@ def test_verify_semantic_failure_exit(capsys, tmp_path):
 def _cert_to_tamper(kind):
     A = evaluate(Multiples(2), Window(1, 200))
     F = FuncFamily(((1, 2, 3, 4), (2, 4, 6, 8)))
-    if kind == "ap":
-        return certificates.ap_certificate(certificates.inputs_for_set(A), ap_search(A, 3))
-    if kind == "ap-expr":
-        return certificates.ap_certificate(
-            certificates.inputs_for_expr(Multiples(2), A.window), ap_search(A, 3))
+    if kind in ("ap", "ap-expr"):
+        wit = ap_search(A, 3)
+        set_inputs = (certificates.inputs_for_set(A) if kind == "ap"
+                      else certificates.inputs_for_expr(Multiples(2), A.window))
+        return certificates.certify("ap", set_inputs, l=wit.l, a=wit.a, d=wit.d)
     if kind == "jset":
-        return certificates.jset_certificate(
-            certificates.inputs_for_set(A), F, 10, jset_witness(A, F, 10))
+        wit = jset_witness(A, F, 10)
+        return certificates.certify(
+            "jset", certificates.inputs_for_set(A), family=F, a_max=10, a=wit.a, H=wit.H)
     if kind == "jset2d":
         F2D = FuncFamily2D((((1,), (1,)),))
         wit = transfer_witness(A, F2D, 1, 1, 64)
-        return certificates.jset2d_certificate(certificates.inputs_for_set(A), F2D, 1, 1, 64, wit)
+        return certificates.certify(
+            "jset2d", certificates.inputs_for_set(A), family2d=F2D, b=1, l=1, a_max=64,
+            a1=wit.a1, a2=wit.a2, H=wit.H)
     w = Window(1, 400)
     if kind == "qc":
         chain = Chain(tuple(evaluate(Multiples(2 ** n), w) for n in (1, 2)), KIND_QUASI_CENTRAL)

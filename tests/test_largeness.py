@@ -484,6 +484,12 @@ def test_vdw_budget_env(monkeypatch):
     assert res.verdict == "unknown" and res.budget == 7
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_vdw_budget_below_one_raises(budget):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        vdw_check(5, 2, 3, budget=budget)
+
+
 def test_vdw_input_validation():
     with pytest.raises(ValueError):
         vdw_check(0, 2, 3)
