@@ -48,18 +48,16 @@ from .jsets import (
 )
 from .largeness import (
     BUDGET_ENV_VAR,
-    GapProfile,
     PwsWitness,
     VdwResult,
     find_pws_witness,
-    gap_profile,
     is_syndetic_on,
     is_thick_on,
     longest_member_run,
     longest_miss_run,
     min_r_for_L,
     vdw_check,
-    verify_pws_witness,
+    verify_pws_claim,
 )
 from .lift import (
     APWitness,
@@ -115,8 +113,8 @@ __all__ = [
     "bernoulli_member",
     "Ap", "Interval", "Multiples", "IpSet", "ThickBlocks", "Bernoulli",
     "Shift", "Union", "Intersect", "Complement",
-    "GapProfile", "gap_profile", "is_syndetic_on", "is_thick_on",
-    "PwsWitness", "find_pws_witness", "verify_pws_witness", "min_r_for_L",
+    "is_syndetic_on", "is_thick_on",
+    "PwsWitness", "find_pws_witness", "verify_pws_claim", "min_r_for_L",
     "longest_member_run", "longest_miss_run",
     "VdwResult", "vdw_check", "BUDGET_ENV_VAR",
     "APWitness", "Box2D", "Set2D", "verify_ap", "ap_search", "lift",

@@ -46,9 +46,9 @@ from .fileformats import (
     write_family2d,
     write_intset,
 )
-from .jsets import JWitness, verify_jset_claim, verify_transfer_claim
+from .jsets import JWitness, verify_jwitness, verify_transfer_witness
 from .largeness import PwsWitness, verify_pws_claim, verify_vdw_claim
-from .lift import Box2D, verify_ap_claim, verify_pws2d_claim
+from .lift import Box2D, verify_ap, verify_pws2d_claim
 from .sets import IntSet, SetExpr, Window, evaluate
 from .towers import KIND_QUASI_CENTRAL, Chain, ChainReport, TranslateProbe, verify_chain_report
 
@@ -68,15 +68,15 @@ _SUMS = "sums landing outside the window count as non-members"
 _CLIPPED = "pairs whose progression leaves the window are excluded from the lift"
 _SHIFTED = "translate inclusions are checked on the window truncated by each shift"
 _CLAIMS = {
-    "ap": _Claim(("set",), ("l",), ("a", "d"), (), verify_ap_claim),
+    "ap": _Claim(("set",), ("l",), ("a", "d"), (), verify_ap),
     "pws": _Claim(("set",), ("r", "L"), ("start",), (), verify_pws_claim),
     "pws2d": _Claim(
         ("set",), ("l", "box", "r1", "r2", "L1", "L2"), ("a0", "d0"), (_CLIPPED,), verify_pws2d_claim
     ),
-    "jset": _Claim(("set", "family"), ("a_max",), ("a", "H"), (_SUMS,), verify_jset_claim),
+    "jset": _Claim(("set", "family"), ("a_max",), ("a", "H"), (_SUMS,), verify_jwitness),
     "jset2d": _Claim(
         ("set", "family2d"), ("b", "l", "a_max"), ("a1", "a2", "H"), (_SUMS, _CLIPPED),
-        verify_transfer_claim,
+        verify_transfer_witness,
     ),
     # the chain's kind adds r and L, or families and a_max, and shapes the
     # levels; _chain_report turns them into the report the verifier takes

@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import certificates as certs
 from ._version import __version__
@@ -56,24 +57,25 @@ def _parse_box(text: str) -> Box2D:
         raise ValueError(f"box must look like ALO:AHIxDLO:DHI, got {text!r}")
 
 
-def _load_set(args) -> tuple[IntSet, dict]:
-    """Build the working set and its canonical certificate inputs."""
+def _load_set(args) -> tuple[IntSet, Callable[[], dict]]:
+    """Build the working set, and a thunk for its canonical certificate inputs."""
     if getattr(args, "set_file", None):
         text = Path(args.set_file).read_text()
         A = read_intset(text)
-        return A, certs.inputs_for_set(A)
+        return A, lambda: certs.inputs_for_set(A)
     if not getattr(args, "set", None):
         raise ValueError("need --set EXPR or --set-file PATH")
     if not getattr(args, "window", None):
         raise ValueError("--set needs --window LO:HI")
     window = _parse_window(args.window)
     program = parse_dsl(args.set)
-    return evaluate(program.expr, window), certs.inputs_for_expr(program.expr, window)
+    return evaluate(program.expr, window), lambda: certs.inputs_for_expr(program.expr, window)
 
 
-def _emit(args, cert: dict) -> None:
+def _emit(args, make_cert: Callable[[], dict]) -> None:
+    """Build the certificate and write it, only when --out asks for one."""
     if getattr(args, "out", None):
-        Path(args.out).write_text(certs.dumps_certificate(cert))
+        Path(args.out).write_text(certs.dumps_certificate(make_cert()))
         print(f"certificate written to {args.out}")
 
 
@@ -84,6 +86,10 @@ def _add_set_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    if args.r is not None and args.L is None:
+        raise ValueError("--r needs --L")
+    if args.out and args.r is None:
+        raise ValueError("--out needs --r and --L")
     A, set_inputs = _load_set(args)
     w = A.window
     print(f"window {w.lo}:{w.hi} width {w.width}")
@@ -99,14 +105,12 @@ def _cmd_analyze(args) -> int:
         least = min_r_for_L(A, args.L)
         print(f"least r with a length-{args.L} witness: {least if least else 'none'}")
     if args.r is not None:
-        if args.L is None:
-            raise ValueError("--r needs --L")
         wit = find_pws_witness(A, args.r, args.L)
         if wit is None:
             print(f"no length-{args.L} interval is {args.r}-syndetic")
             return EXIT_NEGATIVE
         print(f"witness interval [{wit.interval[0]}, {wit.interval[1]}] r={args.r}")
-        _emit(args, certs.certify("pws", set_inputs, r=args.r, L=args.L, start=wit.start))
+        _emit(args, lambda: certs.certify("pws", set_inputs(), r=args.r, L=args.L, start=wit.start))
     return EXIT_OK
 
 
@@ -117,7 +121,7 @@ def _cmd_ap(args) -> int:
         print(f"no progression with {args.len + 1} terms")
         return EXIT_NEGATIVE
     print(f"witness a={wit.a} d={wit.d} l={wit.l}")
-    _emit(args, certs.certify("ap", set_inputs, l=wit.l, a=wit.a, d=wit.d))
+    _emit(args, lambda: certs.certify("ap", set_inputs(), l=wit.l, a=wit.a, d=wit.d))
     return EXIT_OK
 
 
@@ -139,8 +143,8 @@ def _cmd_lift(args) -> int:
         f"witness sub-box {sub.a_lo}:{sub.a_hi}x{sub.d_lo}:{sub.d_hi}"
         f" blocks ({args.r1}, {args.r2})"
     )
-    _emit(args, certs.certify(
-        "pws2d", set_inputs, l=args.len, box=box, r1=args.r1, r2=args.r2, L1=L1, L2=L2,
+    _emit(args, lambda: certs.certify(
+        "pws2d", set_inputs(), l=args.len, box=box, r1=args.r1, r2=args.r2, L1=L1, L2=L2,
         a0=sub.a_lo, d0=sub.d_lo,
     ))
     return EXIT_OK
@@ -154,7 +158,9 @@ def _cmd_jset(args) -> int:
         print(f"no witness with base a <= {args.a_max}")
         return EXIT_NEGATIVE
     print(f"witness a={wit.a} H={{{', '.join(str(t) for t in wit.H)}}}")
-    _emit(args, certs.certify("jset", set_inputs, family=F, a_max=args.a_max, a=wit.a, H=wit.H))
+    _emit(args, lambda: certs.certify(
+        "jset", set_inputs(), family=F, a_max=args.a_max, a=wit.a, H=wit.H
+    ))
     return EXIT_OK
 
 
@@ -169,8 +175,8 @@ def _cmd_transfer(args) -> int:
         f"witness base ({wit.a1}, {wit.a2})"
         f" H={{{', '.join(str(t) for t in wit.H)}}} depth {args.len}"
     )
-    _emit(args, certs.certify(
-        "jset2d", set_inputs, family2d=F2D, b=args.b, l=args.len, a_max=args.a_max,
+    _emit(args, lambda: certs.certify(
+        "jset2d", set_inputs(), family2d=F2D, b=args.b, l=args.len, a_max=args.a_max,
         a1=wit.a1, a2=wit.a2, H=wit.H,
     ))
     return EXIT_OK
@@ -220,7 +226,7 @@ def _cmd_tower(args) -> int:
         print("verdict: FAIL")
         return EXIT_NEGATIVE
     print("verdict: PASS")
-    _emit(args, certs.chain_certificate(chain, report))
+    _emit(args, lambda: certs.chain_certificate(chain, report))
     return EXIT_OK
 
 
@@ -232,7 +238,7 @@ def _cmd_vdw(args) -> int:
         return EXIT_BUDGET
     if res.coloring is not None:
         print("coloring " + "".join(str(c) for c in res.coloring))
-    _emit(args, certs.certify(
+    _emit(args, lambda: certs.certify(
         "vdw", {}, n=args.n, colors=args.colors, ap_len=args.len, verdict=res.verdict,
         coloring=res.coloring, strategy=res.strategy, explored=res.explored,
     ))

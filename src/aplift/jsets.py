@@ -26,7 +26,7 @@ from math import comb
 from typing import Iterator, Optional
 
 from ._bitops import differences, differences_cost, lsb_index, subset_sums_by_count, subset_sums_cost
-from .lift import APWitness, verify_ap
+from .lift import verify_ap
 from .sets import IntSet
 
 
@@ -246,21 +246,15 @@ def jset_witness(A: IntSet, F: FuncFamily, a_max: int) -> Optional[JWitness]:
     return None
 
 
-def verify_jwitness(A: IntSet, F: FuncFamily, wit: JWitness) -> bool:
-    """Check a + sum over H against every table. H must fit the horizon."""
-    if wit.H[-1] > F.horizon:
-        raise ValueError(
-            f"witness H reaches {wit.H[-1]} beyond horizon {F.horizon}"
-        )
-    return all(wit.a + _table_sum(tab, wit.H) in A for tab in F.tables)
-
-
-def verify_jset_claim(A: IntSet, F: FuncFamily, a_max: int, a: int, H: tuple[int, ...]) -> bool:
-    """The claim ``jset_witness`` makes: a base it scans (a <= a_max) and a
-    witness (a, H) hitting every table of F. An H beyond F's horizon gives
-    False here; ``verify_jwitness`` raises for it."""
-    wit = JWitness(a, H)
-    return a <= a_max and H[-1] <= F.horizon and verify_jwitness(A, F, wit)
+def verify_jwitness(A: IntSet, F: FuncFamily, a_max: int, a: int, H: tuple[int, ...]) -> bool:
+    """The claim ``jset_witness`` makes: a base it scans (a <= a_max) and an
+    H within F's horizon such that (a, H) hits every table of F. An a below
+    1 or an H that is empty or not strictly increasing raises ValueError, as
+    in ``JWitness``."""
+    JWitness(a, H)
+    return (
+        a <= a_max and H[-1] <= F.horizon and all(a + _table_sum(tab, H) in A for tab in F.tables)
+    )
 
 
 def build_transfer_family(F2D: FuncFamily2D, b: int, l: int) -> FuncFamily:
@@ -282,38 +276,21 @@ def build_transfer_family(F2D: FuncFamily2D, b: int, l: int) -> FuncFamily:
 
 
 def verify_transfer_witness(
-    A: IntSet, F2D: FuncFamily2D, wit: JWitness2D, l: int
-) -> bool:
-    """Decode the pair witness and check every progression inside A.
-
-    For each pair (g1, g2): the pair (a1 + sum g1 over H, a2 + sum g2 over H)
-    must start an (l+1)-term progression contained in A.
-    """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if wit.H[-1] > F2D.horizon:
-        raise ValueError(
-            f"witness H reaches {wit.H[-1]} beyond horizon {F2D.horizon}"
-        )
-    for first, second in F2D.pairs:
-        start = wit.a1 + _table_sum(first, wit.H)
-        step = wit.a2 + _table_sum(second, wit.H)
-        if not verify_ap(A, APWitness(start, step, l)):
-            return False
-    return True
-
-
-def verify_transfer_claim(
     A: IntSet, F2D: FuncFamily2D, b: int, l: int, a_max: int, a1: int, a2: int, H: tuple[int, ...]
 ) -> bool:
     """The claim ``transfer_witness`` makes: the step binding a2 = b*|H|,
-    (a1, H) a J-set claim for the pairs' first tables (the derived family's
-    j = 0 tables), and every decoded progression inside A."""
+    (a1, H) a J-set witness for the pairs' first tables (the derived
+    family's j = 0 tables) with a1 <= a_max, and for each pair (g1, g2) the
+    (l+1)-term progression from a1 + sum g1 over H with step
+    a2 + sum g2 over H inside A."""
     firsts = FuncFamily(tuple(first for first, _ in F2D.pairs))
     return (
         a2 == b * len(H)
-        and verify_jset_claim(A, firsts, a_max, a1, H)
-        and verify_transfer_witness(A, F2D, JWitness2D(a1, a2, H), l)
+        and verify_jwitness(A, firsts, a_max, a1, H)
+        and all(
+            verify_ap(A, l, a1 + _table_sum(first, H), a2 + _table_sum(second, H))
+            for first, second in F2D.pairs
+        )
     )
 
 
@@ -332,6 +309,6 @@ def transfer_witness(
     if found is None:
         return None
     wit = JWitness2D(found.a, b * len(found.H), found.H)
-    if not verify_transfer_witness(A, F2D, wit, l):
+    if not verify_transfer_witness(A, F2D, b, l, a_max, wit.a1, wit.a2, wit.H):
         raise RuntimeError("transfer self-check failed: witness search is unsound")
     return wit

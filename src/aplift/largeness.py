@@ -5,6 +5,9 @@ interval meets it (gaps are bounded by r - 1). It is L-thick when it contains
 a full run of L consecutive elements. A piecewise-syndetic witness at (r, L)
 is a length-L interval on which the set is r-syndetic: bounded gaps over an
 arbitrarily long stretch, the finite shadow of "syndetic on a thick part".
+Syndeticity in Z is the one-row case of its lift to pairs: ``is_syndetic_on``
+and ``find_pws_witness`` read A as {(x, 1) : x in A} and call ``lift``'s
+``is_syndetic_2d`` and ``find_pws_witness_2d`` with r2 = L2 = 1.
 
 ``vdw_check`` decides whether every coloring of an initial segment forces a
 monochromatic arithmetic progression, by one depth-first search that keeps
@@ -19,7 +22,8 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from ._bitops import ap_starts, from_indices, iter_bit_indices, longest_run, lsb_index, run_starts, smear_right
+from ._bitops import ap_starts, from_indices, longest_run, run_starts
+from .lift import Box2D, Set2D, find_pws_witness_2d, is_syndetic_2d
 from .sets import IntSet
 
 BUDGET_ENV_VAR = "APLIFT_BUDGET"
@@ -27,70 +31,28 @@ DEFAULT_VDW_BUDGET = 1 << 22
 EXHAUSTIVE_LIMIT = 1 << 20  # colorings; above this vdw_check backtracks
 
 
-@dataclass(frozen=True)
-class GapProfile:
-    """Exact gap bookkeeping for A within an interval I = [lo, hi].
-
-    ``leading`` counts the misses before the first member, ``trailing`` the
-    misses after the last, and ``gaps`` holds the differences between
-    consecutive members, sorted ascending (each >= 1). For an empty
-    intersection, leading = |I| and the rest are zero/empty. The identity
-    |I| = count + leading + trailing + sum(g - 1 for g in gaps) always holds.
-    """
-
-    lo: int
-    hi: int
-    count: int
-    leading: int
-    trailing: int
-    gaps: tuple[int, ...]
-
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
-
-    def max_miss_run(self) -> int:
-        """Longest run of consecutive non-members inside the interval."""
-        if self.count == 0:
-            return self.width
-        internal = max((g - 1 for g in self.gaps), default=0)
-        return max(self.leading, self.trailing, internal)
-
-
-def _interval_slice(A: IntSet, interval: tuple[int, int]) -> tuple[int, int, int]:
+def _interval_slice(A: IntSet, interval: tuple[int, int]) -> tuple[int, int]:
     lo, hi = interval
     w = A.window
     if not (w.lo <= lo <= hi <= w.hi):
         raise ValueError(f"interval [{lo}, {hi}] not inside window [{w.lo}, {w.hi}]")
     width = hi - lo + 1
-    bits = (A.bits >> (lo - w.lo)) & ((1 << width) - 1)
-    return bits, lo, width
+    return (A.bits >> (lo - w.lo)) & ((1 << width) - 1), width
 
 
-def gap_profile(A: IntSet, interval: Optional[tuple[int, int]] = None) -> GapProfile:
-    if interval is None:
-        interval = (A.window.lo, A.window.hi)
-    bits, lo, width = _interval_slice(A, interval)
-    hi = lo + width - 1
-    if bits == 0:
-        return GapProfile(lo, hi, 0, width, 0, ())
-    xs = [lo + i for i in iter_bit_indices(bits)]
-    gaps = sorted(b - a for a, b in zip(xs, xs[1:]))
-    return GapProfile(lo, hi, len(xs), xs[0] - lo, hi - xs[-1], tuple(gaps))
+def _row(A: IntSet) -> Set2D:
+    """A as the one-row pair set {(x, 1) : x in A} over [lo, hi] x [1, 1]."""
+    return Set2D(Box2D(A.window.lo, A.window.hi, 1, 1), (A.bits,))
 
 
 def is_syndetic_on(A: IntSet, interval: tuple[int, int], r: int) -> bool:
     """True iff every length-r block fully inside the interval meets A.
 
-    Vacuously true when r exceeds the interval width (no block fits).
+    Vacuously true when r exceeds the interval width (no block fits). The
+    one-row case of ``is_syndetic_2d``: an interval outside the window, or
+    an r below 1, raises ValueError there.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    bits, _, width = _interval_slice(A, interval)
-    if r > width:
-        return True
-    misses = ~bits & ((1 << width) - 1)
-    return run_starts(misses, r) == 0
+    return is_syndetic_2d(_row(A), Box2D(*interval, 1, 1), r, 1)
 
 
 def is_thick_on(A: IntSet, interval: tuple[int, int], L: int) -> bool:
@@ -100,7 +62,7 @@ def is_thick_on(A: IntSet, interval: tuple[int, int], L: int) -> bool:
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    bits, _, width = _interval_slice(A, interval)
+    bits, width = _interval_slice(A, interval)
     if L > width:
         return False
     return run_starts(bits, L) != 0
@@ -126,35 +88,22 @@ class PwsWitness:
 def find_pws_witness(A: IntSet, r: int, L: int) -> Optional[PwsWitness]:
     """First (smallest-start) length-L interval on which A is r-syndetic.
 
-    Scans miss runs once with bitmap smearing; returns None when every
-    length-L interval contains a fully missing length-r block.
+    The one-row case of ``find_pws_witness_2d``, with r2 = L2 = 1; None when
+    every length-L interval contains a fully missing length-r block.
     """
     if r < 1 or L < 1:
         raise ValueError("r and L must be >= 1")
-    w = A.window
-    if L > w.width:
+    if L > A.window.width:
         return None  # no length-L interval fits in the window at all
-    if r > L:
-        return PwsWitness(r, w.lo, L)  # no length-r block fits in length L
-    misses = ~A.bits & w.mask
-    bad = run_starts(misses, r)
-    # start index i is forbidden iff some bad run begins in [i, i + L - r]
-    forbidden = smear_right(bad, L - r)
-    ok = ~forbidden & ((1 << (w.width - L + 1)) - 1)
-    if ok == 0:
-        return None
-    return PwsWitness(r, w.lo + lsb_index(ok), L)
-
-
-def verify_pws_witness(A: IntSet, wit: PwsWitness) -> bool:
-    """The witness interval lies inside A's window and A is r-syndetic on it."""
-    lo, hi = wit.interval
-    return A.window.lo <= lo and hi <= A.window.hi and is_syndetic_on(A, wit.interval, wit.r)
+    sub = find_pws_witness_2d(_row(A), r, 1, L, 1)
+    return None if sub is None else PwsWitness(r, sub.a_lo, L)
 
 
 def verify_pws_claim(A: IntSet, r: int, L: int, start: int) -> bool:
-    """The ``pws`` certificate's claim: A is r-syndetic on [start, start + L - 1]."""
-    return verify_pws_witness(A, PwsWitness(r, start, L))
+    """The ``pws`` claim: [start, start + L - 1] lies inside A's window and
+    A is r-syndetic on it."""
+    hi = start + L - 1
+    return A.window.lo <= start and hi <= A.window.hi and is_syndetic_on(A, (start, hi), r)
 
 
 def min_r_for_L(A: IntSet, L: int) -> Optional[int]:

@@ -78,9 +78,9 @@ class Set2D:
     def __post_init__(self) -> None:
         if len(self.rows) != self.box.d_width:
             raise ValueError("row count does not match the box")
-        amask = (1 << self.box.a_width) - 1
+        width = self.box.a_width
         for row in self.rows:
-            if row < 0 or row & ~amask:
+            if row < 0 or row.bit_length() > width:
                 raise ValueError("row bits fall outside the box")
 
     def __repr__(self) -> str:
@@ -108,17 +108,12 @@ class Set2D:
         return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
 
 
-def verify_ap(A: IntSet, w: APWitness) -> bool:
-    """All l+1 terms belong to A (terms beyond the window are non-members);
-    a last term past the window's top fails before any term is built."""
-    if w.a + w.l * w.d > A.window.hi:
-        return False
-    return all(t in A for t in w.terms())
-
-
-def verify_ap_claim(A: IntSet, l: int, a: int, d: int) -> bool:
-    """The ``ap`` certificate's claim: A holds a, a+d, ..., a+l*d."""
-    return verify_ap(A, APWitness(a, d, l))
+def verify_ap(A: IntSet, l: int, a: int, d: int) -> bool:
+    """The ``ap`` claim: A holds a, a+d, ..., a+l*d (terms beyond the window
+    are non-members); a last term past the window's top fails before any
+    term is built."""
+    w = APWitness(a, d, l)
+    return a + l * d <= A.window.hi and all(t in A for t in w.terms())
 
 
 def ap_search(A: IntSet, l: int) -> Optional[APWitness]:

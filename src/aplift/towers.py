@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 from ._bitops import ap_starts, iter_bit_indices
-from .jsets import FuncFamily, JWitness, jset_witness, verify_jset_claim
-from .largeness import PwsWitness, find_pws_witness, verify_pws_witness
+from .jsets import FuncFamily, JWitness, jset_witness, verify_jwitness
+from .largeness import PwsWitness, find_pws_witness, verify_pws_claim
 from .lift import Box2D, Set2D, lift
 from .sets import IntSet, Window
 
@@ -220,13 +220,14 @@ def verify_chain_report(chain: Chain, report: ChainReport) -> bool:
         return False
     if report.kind == KIND_QUASI_CENTRAL:
         return len(report.pws_witnesses) == chain.depth and all(
-            (w.r, w.length) == (report.r, report.L) and verify_pws_witness(level, w)
+            (w.r, w.length) == (report.r, report.L)
+            and verify_pws_claim(level, w.r, w.length, w.start)
             for level, w in zip(chain.levels, report.pws_witnesses)
         )
     fams = report.families
     return len(report.jset_witnesses) == chain.depth and all(
         len(per_level) == len(fams)
-        and all(verify_jset_claim(level, F, report.a_max, w.a, w.H) for F, w in zip(fams, per_level))
+        and all(verify_jwitness(level, F, report.a_max, w.a, w.H) for F, w in zip(fams, per_level))
         for level, per_level in zip(chain.levels, report.jset_witnesses)
     )
 

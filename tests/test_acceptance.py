@@ -140,7 +140,7 @@ def test_criterion_3_transfer_instances():
         wit = transfer_witness(A, F2D, b=b, l=l, a_max=50)
         if wit is not None:
             found += 1
-            if not verify_transfer_witness(A, F2D, wit, l):
+            if not verify_transfer_witness(A, F2D, b, l, 50, wit.a1, wit.a2, wit.H):
                 bad_verify += 1
             if wit.a2 != b * len(wit.H):
                 bad_verify += 1
@@ -168,7 +168,7 @@ def test_criterion_4_minimal_transfer_example():
         start = wit.a1 + 1  # first component summed over H = {1}
         step = wit.a2 + 1   # second component summed over H = {1}
         ok = (start, step) == (2, 2) and start in A and start + step in A
-        ok = ok and verify_transfer_witness(A, F2D, wit, 1)
+        ok = ok and verify_transfer_witness(A, F2D, 1, 1, 64, wit.a1, wit.a2, wit.H)
     report(4, ok, "identity-pair family on the evens yields base (1, 1) with "
                   "H = {1}; the pair (2, 2) certifies {2, 4}")
 

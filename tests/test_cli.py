@@ -224,6 +224,44 @@ def test_set_file_parsed_once(capsys, tmp_path, monkeypatch):
     assert verify_certificate(cert)
 
 
+def test_certificate_built_only_for_out(capsys, tmp_path, monkeypatch):
+    calls = {"build_certificate": 0, "write_intset": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(certificates, "build_certificate",
+                        counting("build_certificate", certificates.build_certificate))
+    monkeypatch.setattr(certificates, "write_intset", counting("write_intset", write_intset))
+    sf = tmp_path / "set.txt"
+    sf.write_text(write_intset(evaluate(Multiples(2), Window(1, 100))))
+    code, out, _ = run(capsys, "ap", "--set-file", str(sf), "--len", "3")
+    assert code == 0 and out == "witness a=2 d=2 l=3\n"
+    assert calls == {"build_certificate": 0, "write_intset": 0}
+    dest = tmp_path / "ap.json"
+    code, with_out, _ = run(capsys, "ap", "--set-file", str(sf), "--len", "3", "--out", str(dest))
+    assert code == 0 and with_out == out + f"certificate written to {dest}\n"
+    assert calls == {"build_certificate": 1, "write_intset": 1}
+    assert verify_certificate(json.loads(dest.read_text()))
+
+
+def test_analyze_out_without_r_exits_two(capsys, tmp_path):
+    dest = tmp_path / "pws.json"
+    code, out, err = run(capsys, "analyze", "--set", "multiples(3)", "--window", "1:300",
+                         "--L", "50", "--out", str(dest))
+    assert code == 2 and out == "" and "--out needs --r" in err
+    assert not dest.exists()
+
+
+def test_analyze_r_without_L_exits_two_before_any_output(capsys):
+    code, out, err = run(capsys, "analyze", "--set", "multiples(3)", "--window", "1:300",
+                         "--r", "3")
+    assert code == 2 and out == "" and "--r needs --L" in err
+
+
 def test_repeated_calls_share_no_state(capsys, tmp_path):
     # the parser is built once per process; each call must still start clean
     w = Window(1, 300)

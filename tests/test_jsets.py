@@ -114,7 +114,7 @@ def test_jset_witness_frozen():
     wit = jset_witness(A, F, 10)
     assert wit is not None
     assert (wit.a, wit.H) == (3, (3,))
-    assert verify_jwitness(A, F, wit)
+    assert verify_jwitness(A, F, 10, wit.a, wit.H)
 
 
 def test_jset_witness_none():
@@ -149,7 +149,7 @@ def test_jset_matches_brute(p, seed, m, T):
         assert wit is None
     else:
         assert (wit.a, wit.H) == expect
-        assert verify_jwitness(A, F, wit)
+        assert verify_jwitness(A, F, 30, wit.a, wit.H)
 
 
 @settings(max_examples=150, deadline=None)
@@ -263,11 +263,9 @@ def test_window_far_from_one_scans_only_sizes_that_reach_it(residue, expect):
 def test_verify_jwitness_bounds():
     A = evaluate(Multiples(3), Window(1, 300))
     F = FuncFamily(((1, 2, 3, 4), (2, 4, 6, 8)))
-    with pytest.raises(ValueError):
-        verify_jwitness(A, F, JWitness(3, (5,)))  # beyond horizon
+    assert verify_jwitness(A, F, 300, 3, (5,)) is False  # beyond horizon
     # sums leaving the window simply fail the check
-    big = JWitness(299, (4,))
-    assert verify_jwitness(A, F, big) is False
+    assert verify_jwitness(A, F, 300, 299, (4,)) is False
 
 
 def test_build_transfer_family_shape():
@@ -293,15 +291,15 @@ def test_transfer_witness_frozen_evens():
     wit = transfer_witness(A, F2D, b=1, l=1, a_max=64)
     assert wit is not None
     assert (wit.a1, wit.a2, wit.H) == (1, 1, (1,))
-    assert verify_transfer_witness(A, F2D, wit, 1)
+    assert verify_transfer_witness(A, F2D, 1, 1, 64, wit.a1, wit.a2, wit.H)
     start = wit.a1 + 1          # f1 summed over H = {1}
     step = wit.a2 + 1           # f2 summed over H = {1}
     assert (start, step) == (2, 2)
     assert {start, start + step} <= set(A.members())
     # every term counts: {2, 4} holds the 2-term progression, not the 3-term one
     B = IntSet.from_members(Window(1, 10), [2, 4])
-    assert verify_transfer_witness(B, F2D, wit, 1)
-    assert not verify_transfer_witness(B, F2D, wit, 2)
+    assert verify_transfer_witness(B, F2D, 1, 1, 64, wit.a1, wit.a2, wit.H)
+    assert not verify_transfer_witness(B, F2D, 1, 2, 64, wit.a1, wit.a2, wit.H)
 
 
 def test_transfer_witness_step_binding():
@@ -311,7 +309,7 @@ def test_transfer_witness_step_binding():
     wit = transfer_witness(A, F2D, b=2, l=2, a_max=64)
     assert wit is not None
     assert wit.a2 == 2 * len(wit.H)
-    assert verify_transfer_witness(A, F2D, wit, 2)
+    assert verify_transfer_witness(A, F2D, 2, 2, 64, wit.a1, wit.a2, wit.H)
 
 
 def test_transfer_witness_none_when_absent():
@@ -337,4 +335,4 @@ def test_transfer_self_check_never_trips(q, m, T, l, salt):
     b = rng.randint(1, 3)
     wit = transfer_witness(A, F2D, b=b, l=l, a_max=50)
     if wit is not None:
-        assert verify_transfer_witness(A, F2D, wit, l)
+        assert verify_transfer_witness(A, F2D, b, l, 50, wit.a1, wit.a2, wit.H)

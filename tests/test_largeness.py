@@ -16,11 +16,9 @@ from hypothesis import given, settings, strategies as st
 from aplift._bitops import longest_run
 from aplift.largeness import (
     EXHAUSTIVE_LIMIT,
-    GapProfile,
     VdwResult,
     _has_mono_ap,
     find_pws_witness,
-    gap_profile,
     is_syndetic_on,
     is_thick_on,
     longest_member_run,
@@ -67,27 +65,6 @@ def test_longest_run_matches_stepwise_oracle(width):
         assert longest_run(bits) == stepwise_longest_run(bits), hex(bits)
 
 
-def test_gap_profile_identity():
-    A = IntSet.from_members(Window(1, 20), [4, 5, 11, 19])
-    prof = gap_profile(A)
-    assert prof.count == 4
-    assert prof.leading == 3
-    assert prof.trailing == 1
-    assert prof.gaps == (1, 6, 8)  # sorted member differences
-    assert prof.max_miss_run() == 7
-    # leading + members + internal misses + trailing tiles the window
-    assert prof.leading + prof.count + sum(g - 1 for g in prof.gaps) + prof.trailing == 20
-
-
-def test_gap_profile_empty_and_full():
-    w = Window(1, 12)
-    empty = IntSet(w, 0)
-    assert gap_profile(empty).max_miss_run() == 12
-    full = IntSet.full(w)
-    p = gap_profile(full)
-    assert p.count == 12 and p.max_miss_run() == 0
-
-
 def test_syndetic_frozen_ipset():
     # brute oracle: longest miss run of ipset(3,9,27) on [1,40] is 14
     A = ip_set((3, 9, 27), Window(1, 40))
@@ -108,6 +85,22 @@ def test_syndetic_matches_brute():
     mem = set(A.members())
     for r in range(1, 22):
         assert is_syndetic_on(A, (1, 20), r) == brute_syndetic(mem, 1, 20, r), r
+    # windows starting past 1 and widths across word boundaries, on the
+    # whole window and on sub-intervals: the offsets of the one-row box
+    rng = random.Random(20)
+    for lo in (1, 2, 97):
+        for width in (63, 64, 65, 127, 128, 129):
+            w = Window(lo, lo + width - 1)
+            for p in (0.6, 0.9):
+                mem = {x for x in range(w.lo, w.hi + 1) if rng.random() < p}
+                A = IntSet.from_members(w, sorted(mem))
+                for _ in range(6):
+                    s = rng.randint(w.lo, w.hi)
+                    for i_lo, i_hi in ((w.lo, w.hi), (s, rng.randint(s, w.hi))):
+                        n = i_hi - i_lo + 1
+                        for r in {1, 2, 3, 5, 8, n, n + 1}:
+                            expect = brute_syndetic(mem, i_lo, i_hi, r)
+                            assert is_syndetic_on(A, (i_lo, i_hi), r) == expect, (w, i_lo, i_hi, r)
 
 
 def test_syndetic_subinterval():
@@ -178,20 +171,23 @@ def test_min_r_is_least():
     assert find_pws_witness(A, r - 1, 40) is None
 
 
-@settings(max_examples=60)
-@given(st.sets(st.integers(1, 60), max_size=25), st.integers(1, 12), st.integers(1, 30))
-def test_pws_witness_matches_brute(points, r, L):
-    A = IntSet.from_members(Window(1, 60), sorted(points))
-    mem = set(points)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 200), st.sampled_from([60, 63, 64, 65, 127, 128, 129]),
+       st.sets(st.integers(0, 128), max_size=90), st.integers(1, 12), st.integers(1, 130))
+def test_pws_witness_matches_brute(lo, width, offsets, r, L):
+    # windows starting past 1 and widths across word boundaries
+    w = Window(lo, lo + width - 1)
+    mem = {lo + i for i in offsets if i < width}
+    A = IntSet.from_members(w, sorted(mem))
     wit = find_pws_witness(A, r, L)
-    if L > 60:
+    if L > width:
         assert wit is None
         return
-    starts = [s for s in range(1, 60 - L + 2) if brute_syndetic(mem, s, s + L - 1, r)]
+    first = next((s for s in range(lo, w.hi - L + 2) if brute_syndetic(mem, s, s + L - 1, r)), None)
     if wit is None:
-        assert not starts
+        assert first is None
     else:
-        assert wit.start == starts[0]
+        assert (wit.r, wit.start, wit.length) == (r, first, L)
 
 
 def test_vdw_frozen_true_false():

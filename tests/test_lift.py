@@ -68,9 +68,9 @@ def test_ap_witness_terms():
 
 def test_verify_ap():
     A = evaluate(Multiples(3), Window(1, 30))
-    assert verify_ap(A, APWitness(3, 6, 2)) is True
-    assert verify_ap(A, APWitness(3, 5, 2)) is False
-    assert verify_ap(A, APWitness(27, 3, 2)) is False  # 33 leaves the window
+    assert verify_ap(A, 2, 3, 6) is True
+    assert verify_ap(A, 2, 3, 5) is False
+    assert verify_ap(A, 2, 27, 3) is False  # 33 leaves the window
 
 
 def test_ap_search_frozen_evens():
@@ -78,7 +78,7 @@ def test_ap_search_frozen_evens():
     A = evaluate(Multiples(2), Window(1, 100))
     wit = ap_search(A, 3)
     assert (wit.a, wit.d) == (2, 2)
-    assert verify_ap(A, wit)
+    assert verify_ap(A, wit.l, wit.a, wit.d)
 
 
 def test_ap_search_frozen_absent():
@@ -109,7 +109,7 @@ def test_ap_search_matches_brute(p, seed, l, hi):
         assert wit is None
     else:
         assert (wit.a, wit.d) == expect
-        assert verify_ap(A, wit)
+        assert verify_ap(A, wit.l, wit.a, wit.d)
 
 
 @pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 130])
@@ -168,7 +168,7 @@ def test_lift_cell_iff_verify():
     B = lift(A, 2, box)
     for a in range(1, 41, 7):
         for d in range(1, 13, 3):
-            inside = a + 2 * d <= 80 and verify_ap(A, APWitness(a, d, 2))
+            inside = a + 2 * d <= 80 and verify_ap(A, 2, a, d)
             assert ((a, d) in B) == inside, (a, d)
 
 
