@@ -90,7 +90,10 @@ def read_intset(text: str) -> IntSet:
         lo, hi = _int_fields(tokens[1:3], "set window")
         w = Window(lo, hi)
         return IntSet(w, _parse_bitstring(tokens[3], w.width, "set bits"))
-    xs = _int_fields(tokens, "set elements")
+    try:
+        xs = list(map(int, tokens))
+    except ValueError:
+        xs = _int_fields(tokens, "set elements")
     if min(xs) < 1:
         raise ValueError("set elements must be positive")
     return IntSet.from_members(Window(1, max(xs)), xs)

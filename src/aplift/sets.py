@@ -69,11 +69,13 @@ class IntSet:
 
     @classmethod
     def from_members(cls, window: Window, members) -> "IntSet":
+        lo, hi = window.lo, window.hi
+
         def offsets() -> Iterator[int]:
             for x in members:
-                if x not in window:
-                    raise ValueError(f"member {x} outside window [{window.lo}, {window.hi}]")
-                yield x - window.lo
+                if not lo <= x <= hi:
+                    raise ValueError(f"member {x} outside window [{lo}, {hi}]")
+                yield x - lo
 
         return cls(window, from_indices(offsets(), window.width))
 
@@ -285,37 +287,41 @@ def bernoulli_member(x: int, p: float, seed: int) -> bool:
     return _mix64((seed + x * _GOLDEN64) & _MASK64) < threshold
 
 
-# Lane-packed splitmix64 ("SIMD within a register"): lane i of one big int
-# holds the 64-bit state of position start + i at bits [128i, 128i + 64), and
-# the upper 64 bits of each lane are headroom for the 64 x 64-bit product.
-# An xor-shift moves the low bits of lane i + 1 into the headroom of lane i,
-# so every xor-shift is masked back to 64 bits before the multiply; unmasked,
-# those stray bits times the constant would carry into lane i + 1.
+# Lane-packed splitmix64 ("SIMD within a register"): lane i holds a 64-bit
+# state at bits [128i, 128i + 64) and headroom for the 64 x 64-bit product above
+# it; each xor-shift is masked back to 64 bits, as it moves lane i + 1's low bits
+# into that headroom. A block of 8 * _LANES positions takes eight passes: pass c
+# puts position 8i + 7 - c in lane i and shifts its miss flag (bit 64) in below
+# the earlier ones, so byte 8 of lane i is the bitmap byte of 8i .. 8i + 7.
 _LANES = 256
 _ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
 _LANE_MASK = _ONES * _MASK64
-_LANE_STEPS = int.from_bytes(
-    b"".join(((i * _GOLDEN64) & _MASK64).to_bytes(16, "little") for i in range(_LANES)),
-    "little",
-)
-_MISS_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"10")
+_FLAGS = _ONES << 64
+_BLOCK_STEP = ((8 * _LANES * _GOLDEN64) & _MASK64) * _ONES
+_LANE_STEPS = int.from_bytes(b"".join(
+    ((8 * i * _GOLDEN64) & _MASK64).to_bytes(16, "little") for i in range(_LANES)), "little")
+_PASSES = tuple((_LANE_STEPS + ((c * _GOLDEN64) & _MASK64) * _ONES) & _LANE_MASK for c in range(7, -1, -1))
 
 
 def _bernoulli_bits(p: float, seed: int, w: Window) -> int:
     threshold = int(Fraction(p) * (1 << 64))
+    # a window narrower than one block runs only the lanes it covers
+    ones = _ONES & ((1 << 128 * -(-w.width // 8)) - 1)
+    passes = [step & ones * _MASK64 for step in _PASSES]
     # after adding 2^64 - threshold, bit 64 of a lane is set iff mix >= threshold
-    bump = ((1 << 64) - threshold) * _ONES
-    base = seed + w.lo * _GOLDEN64
-    digits = []
-    for _ in range(0, w.width, _LANES):
-        z = ((base & _MASK64) * _ONES + _LANE_STEPS) & _LANE_MASK
-        z = (((z ^ (z >> 30)) & _LANE_MASK) * _MIX1) & _LANE_MASK
-        z = (((z ^ (z >> 27)) & _LANE_MASK) * _MIX2) & _LANE_MASK
-        z = ((z ^ (z >> 31)) & _LANE_MASK) + bump
-        misses = ((z >> 64) & _ONES).to_bytes(16 * _LANES, "little")[::16]
-        digits.append(misses.translate(_MISS_TO_DIGIT))
-        base += _LANES * _GOLDEN64
-    return int(b"".join(digits)[: w.width][::-1], 2)
+    bump = ((1 << 64) - threshold) * ones
+    state = ((seed + w.lo * _GOLDEN64) & _MASK64) * ones
+    blocks = []
+    for _ in range(0, w.width, 8 * _LANES):
+        misses = 0
+        for step in passes:
+            z = (state + step) & _LANE_MASK
+            z = (((z ^ (z >> 30)) & _LANE_MASK) * _MIX1) & _LANE_MASK
+            z = (((z ^ (z >> 27)) & _LANE_MASK) * _MIX2) & _LANE_MASK
+            misses = (misses << 1) | ((z ^ (z >> 31)) + bump) & _FLAGS
+        blocks.append(misses.to_bytes(16 * _LANES, "little")[8::16])
+        state = (state + _BLOCK_STEP) & _LANE_MASK
+    return ~int.from_bytes(b"".join(blocks), "little") & w.mask
 
 
 def ip_set(generators: Sequence[int], w: Window) -> IntSet:

@@ -51,8 +51,10 @@ def test_intset_bad_input():
         read_intset("window 5 2\n0\n")
     with pytest.raises(ValueError):
         read_intset("window 1 4\n10\n")  # bitmap row wrong width
-    with pytest.raises(ValueError):
-        read_intset("0 3 5\n")  # elements must be positive
+    with pytest.raises(ValueError, match="must be positive"):
+        read_intset("0 3 5\n")
+    with pytest.raises(ValueError, match="set elements: not an integer: 'x'"):
+        read_intset("3 x 5\n")
 
 
 @pytest.mark.parametrize("lo", [1, 40])

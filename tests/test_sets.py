@@ -5,8 +5,10 @@ script (plain set comprehensions over ranges) before these tests were
 written; they are independent of the bitmap implementation.
 """
 
+from hashlib import sha256
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aplift import sets
 from aplift.sets import (
@@ -78,6 +80,10 @@ def test_intset_members_roundtrip():
     assert len(A) == 5
     with pytest.raises(ValueError):
         IntSet.from_members(w, [31])
+    # members may come from a one-shot generator; the first one outside is named
+    assert IntSet.from_members(w, (x for x in (3, 9))) == IntSet.from_members(w, [3, 9])
+    with pytest.raises(ValueError, match=r"member 31 outside window \[1, 30\]"):
+        IntSet.from_members(w, (x for x in (3, 31, 0, 40)))
 
 
 def test_repr_of_wide_set():
@@ -171,18 +177,37 @@ def test_bernoulli_deterministic():
 
 
 def test_bernoulli_lanes_match_member():
-    # the lane-packed builder against the scalar definition, around the chunk
-    # size and with seeds that need reducing mod 2^64
+    # the lane-packed builder against the scalar definition, around the lane
+    # count and the block of 8 * K positions, from starts on and off the grid
+    # of bytes (lo - 1 a multiple of 8 or not), and with seeds that need
+    # reducing mod 2^64
     K = sets._LANES
-    for width in (1, 63, 64, 65, K - 1, K, K + 1, 2 * K + 1):
-        for lo in (1, 2, K + 3):
-            w = Window(lo, lo + width - 1)
-            for seed in (0, 2 ** 64 - 1, 2 ** 64 + 5, 2 ** 70):
-                for p in (0.0, 1.0, 0.5, 0.25, 1 / 3, 1 - 1e-12):
-                    expect = [x for x in range(w.lo, w.hi + 1)
-                              if bernoulli_member(x, p, seed)]
+    widths = (1, 63, 64, 65, K - 1, K, K + 1, 2 * K + 1, 8 * K - 1, 8 * K, 8 * K + 1, 16 * K + 3)
+    for lo in (1, 2, 8 * K + 5):
+        for seed in (0, 2 ** 64 - 1, 2 ** 64 + 5, 2 ** 70):
+            for p in (0.0, 1.0, 0.5, 0.25, 1 / 3, 1 - 1e-12):
+                expect = [x for x in range(lo, lo + max(widths)) if bernoulli_member(x, p, seed)]
+                for width in widths:
+                    w = Window(lo, lo + width - 1)
                     got = evaluate(Bernoulli(p, seed), w)
-                    assert list(got.members()) == expect, (width, lo, seed, p)
+                    assert list(got.members()) == [x for x in expect if x <= w.hi], (width, lo, seed, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(1, 3 * 8 * sets._LANES),
+       st.sampled_from((0.0, 1.0, 2.0 ** -64, 1 - 1e-12)) | st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 64 - 1) | st.integers(2 ** 64, 2 ** 80))
+def test_bernoulli_matches_member_anywhere(lo, width, p, seed):
+    w = Window(lo, lo + width - 1)
+    expect = [x for x in range(w.lo, w.hi + 1) if bernoulli_member(x, p, seed)]
+    assert list(evaluate(Bernoulli(p, seed), w).members()) == expect
+
+
+def test_bernoulli_bits_pinned():
+    # a digest of the bits themselves, so a change to the membership rule fails
+    # here even when the builder and bernoulli_member change together
+    A = evaluate(Bernoulli(0.3, 7), Window(5, 5 + 2 ** 18 - 1))
+    assert sha256(A.bits.to_bytes(2 ** 15, "little")).hexdigest()[:16] == "aa4092ca6e8f7ad8"
 
 
 def test_ap_doubling_matches_brute():
