@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from ._bitops import from_indices, hex_head, iter_bit_indices
@@ -281,10 +282,21 @@ def _ap_bits(a: int, d: int, w: Window) -> int:
     return (bits << first) & w.mask
 
 
+def _block_bits(lo: int, hi: int, w: Window) -> int:
+    """The solid block [lo, hi] clipped to the window, as window bits."""
+    s, e = max(lo, w.lo), min(hi, w.hi)
+    return ((1 << (e - s + 1)) - 1) << (s - w.lo) if s <= e else 0
+
+
+@lru_cache(maxsize=256)
+def _threshold(p: float) -> int:
+    """floor(p * 2^64) for p's exact binary value: a mix below it is a member."""
+    return int(Fraction(p) * (1 << 64))
+
+
 def bernoulli_member(x: int, p: float, seed: int) -> bool:
     """Deterministic membership draw for the Bernoulli generator."""
-    threshold = int(Fraction(p) * (1 << 64))
-    return _mix64((seed + x * _GOLDEN64) & _MASK64) < threshold
+    return _mix64((seed + x * _GOLDEN64) & _MASK64) < _threshold(p)
 
 
 # Lane-packed splitmix64 ("SIMD within a register"): lane i holds a 64-bit
@@ -304,12 +316,11 @@ _PASSES = tuple((_LANE_STEPS + ((c * _GOLDEN64) & _MASK64) * _ONES) & _LANE_MASK
 
 
 def _bernoulli_bits(p: float, seed: int, w: Window) -> int:
-    threshold = int(Fraction(p) * (1 << 64))
     # a window narrower than one block runs only the lanes it covers
     ones = _ONES & ((1 << 128 * -(-w.width // 8)) - 1)
     passes = [step & ones * _MASK64 for step in _PASSES]
     # after adding 2^64 - threshold, bit 64 of a lane is set iff mix >= threshold
-    bump = ((1 << 64) - threshold) * ones
+    bump = ((1 << 64) - _threshold(p)) * ones
     state = ((seed + w.lo * _GOLDEN64) & _MASK64) * ones
     blocks = []
     for _ in range(0, w.width, 8 * _LANES):
@@ -343,9 +354,7 @@ def evaluate(expr: SetExpr, w: Window) -> IntSet:
         case Ap(a=a, d=d):
             return IntSet(w, _ap_bits(a, d, w))
         case Interval(lo=lo, hi=hi):
-            s, e = max(lo, w.lo), min(hi, w.hi)
-            bits = ((1 << (e - s + 1)) - 1) << (s - w.lo) if s <= e else 0
-            return IntSet(w, bits)
+            return IntSet(w, _block_bits(lo, hi, w))
         case Multiples(k=k):
             return IntSet(w, _ap_bits(k, k, w))
         case IpSet(generators=gens):
@@ -353,9 +362,7 @@ def evaluate(expr: SetExpr, w: Window) -> IntSet:
         case ThickBlocks(blocks=blocks):
             bits = 0
             for blo, bhi in blocks:
-                s, e = max(blo, w.lo), min(bhi, w.hi)
-                if s <= e:
-                    bits |= ((1 << (e - s + 1)) - 1) << (s - w.lo)
+                bits |= _block_bits(blo, bhi, w)
             return IntSet(w, bits)
         case Bernoulli(p=p, seed=seed):
             return IntSet(w, _bernoulli_bits(p, seed, w))

@@ -448,6 +448,36 @@ def test_tower_rejects_flags_of_the_other_chain_kind(capsys, tmp_path):
     assert code == 2 and "--r" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--set", "multiples(3)", "--window", "1:300", "--r", "0", "--L", "5"],
+    ["lift", "--set", "multiples(3)", "--window", "1:60", "--len", "2", "--r1", "0", "--r2", "3"],
+    ["tower", "--chain", "cs.txt", "--r", "3", "--L", "5"],
+    ["ap", "--set", "multiples(2)", "--window", "1:100", "--len", "0"],
+    ["jset", "--set", "multiples(3)", "--window", "1:300", "--family", "fam.txt", "--a-max", "0"],
+    ["transfer", "--set", "multiples(2)", "--window", "1:200", "--family2d", "fam2d.txt",
+     "--b", "0", "--len", "1"],
+    ["vdw", "--n", "8", "--colors", "2", "--len", "3", "--budget", "0"],
+], ids=lambda argv: argv[0])
+def test_raised_errors_print_nothing_on_stdout(capsys, tmp_path, monkeypatch, argv):
+    # the search raises after part of the report is known; none of it is printed
+    monkeypatch.chdir(tmp_path)
+    levels = tuple(evaluate(Multiples(2 ** n), Window(1, 64)) for n in (1, 2))
+    (tmp_path / "cs.txt").write_text(write_chain(Chain(levels, KIND_C_SET)))
+    (tmp_path / "fam.txt").write_text(write_family(FuncFamily(((1, 2), (2, 4)))))
+    (tmp_path / "fam2d.txt").write_text(write_family2d(FuncFamily2D((((1,), (1,)),))))
+    code, out, err = run(capsys, *argv, "--out", "c.json")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_unwritable_out_prints_nothing_on_stdout(capsys, tmp_path):
+    # the certificate is written before the report is printed
+    dest = tmp_path / "missing" / "ap.json"
+    code, out, err = run(capsys, "ap", "--set", "multiples(2)", "--window", "1:100",
+                         "--len", "3", "--out", str(dest))
+    assert code == 2 and out == "" and "No such file" in err
+
+
 def test_verify_huge_progression_length_is_bounded(capsys, tmp_path):
     # the last term lies far past the window, so verify rejects it at once
     cert = certificates.build_certificate(
