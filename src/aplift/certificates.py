@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
-from datetime import datetime, timezone
+import time
 from typing import Callable, NamedTuple, Optional
 
 from ._version import __version__
@@ -106,7 +105,10 @@ class MalformedPayload(CertificateError):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    except RecursionError:
+        raise MalformedPayload("certificate is nested too deeply") from None
 
 
 def _sha(text: str) -> str:
@@ -127,7 +129,7 @@ def build_certificate(kind: str, inputs: dict, params: dict, witness: dict) -> d
         "input_digest": _sha(canonical_json(inputs)),
     }
     body["digest"] = _sha(canonical_json(body))
-    body["created"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    body["created"] = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     return body
 
 
@@ -293,16 +295,16 @@ def _chain_report(
 ) -> ChainReport:
     """Reshape a chain certificate into the report ``verify_chain_report``
     re-checks; the chain's kind says which fields its level evidence needs."""
-    report = ChainReport(chain.kind, x_max, translate)
     if chain.kind == KIND_QUASI_CENTRAL:
         r, L = _field(params, "r"), _field(params, "L")
         pws = tuple(PwsWitness(r, _field(ev, "pws_start"), L) for ev in levels)
-        return replace(report, r=r, L=L, pws_witnesses=pws)
+        return ChainReport(chain.kind, x_max, translate, r=r, L=L, pws_witnesses=pws)
     jset = tuple(
         tuple(JWitness(_field(w, "a"), _field(w, "H")) for w in _field(ev, "jset")) for ev in levels
     )
-    return replace(
-        report, families=_field(inputs, "families"), a_max=_field(params, "a_max"), jset_witnesses=jset
+    return ChainReport(
+        chain.kind, x_max, translate,
+        families=_field(inputs, "families"), a_max=_field(params, "a_max"), jset_witnesses=jset,
     )
 
 

@@ -51,10 +51,10 @@ Finding = tuple[int, list[str], Optional[dict]]
 
 def _parse_window(text: str) -> Window:
     try:
-        lo, hi = text.split(":")
-        return Window(int(lo), int(hi))
-    except (ValueError, TypeError):
-        raise ValueError(f"window must look like LO:HI, got {text!r}")
+        lo, hi = (int(v) for v in text.split(":"))
+    except ValueError:
+        raise ValueError(f"window must look like LO:HI, got {text!r}") from None
+    return Window(lo, hi)
 
 
 def _parse_box(text: str) -> Box2D:
@@ -62,9 +62,9 @@ def _parse_box(text: str) -> Box2D:
         a_part, d_part = text.split("x")
         a_lo, a_hi = (int(v) for v in a_part.split(":"))
         d_lo, d_hi = (int(v) for v in d_part.split(":"))
-        return Box2D(a_lo, a_hi, d_lo, d_hi)
-    except (ValueError, TypeError):
-        raise ValueError(f"box must look like ALO:AHIxDLO:DHI, got {text!r}")
+    except ValueError:
+        raise ValueError(f"box must look like ALO:AHIxDLO:DHI, got {text!r}") from None
+    return Box2D(a_lo, a_hi, d_lo, d_hi)
 
 
 def _load_set(args) -> tuple[IntSet, Callable[[], dict]]:
@@ -128,7 +128,13 @@ def _cmd_ap(args, A: IntSet) -> Finding:
 
 def _cmd_lift(args, A: IntSet) -> Finding:
     box = _parse_box(args.box) if args.box else induced_box(A.window, args.len)
-    B = lift(A, args.len, box)
+    try:
+        B = lift(A, args.len, box)
+    except ValueError as e:
+        if args.box:
+            raise
+        # the box induced by a wide window has about width^2 / (4 * len) pairs
+        raise ValueError(f"{e}; choose a smaller one with --box") from None
     L1 = args.L1 if args.L1 is not None else box.a_width
     L2 = args.L2 if args.L2 is not None else box.d_width
     lines = [
@@ -226,7 +232,7 @@ def _cmd_vdw(args, _: None) -> Finding:
 def _cmd_verify(args, _: None) -> Finding:
     try:
         cert = json.loads(Path(args.certificate).read_text())
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested to parse
         return EXIT_BAD_CERT, [f"not a certificate: {e}"], None
     try:
         ok = certs.verify_certificate(cert)

@@ -9,9 +9,9 @@ emits the canonical form; parsing what it prints reproduces the tree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import NamedTuple
 
+from ._record import Record
 from .sets import (
     Ap,
     Bernoulli,
@@ -92,8 +92,7 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class DslProgram:
+class DslProgram(Record):
     source: str
     expr: SetExpr
 
@@ -201,7 +200,7 @@ _FORMS = {
 _NONNEGATIVE = frozenset({"seed", "shift amount"})
 # node type -> (form name, argument kinds, field names), for print_expr
 _PRINTED = {
-    node_type: (name, kinds, tuple(f.name for f in fields(node_type)))
+    node_type: (name, kinds, node_type._fields)
     for name, (node_type, kinds) in _FORMS.items()
 }
 

@@ -20,18 +20,17 @@ costs, so it at most doubles the cost of a scan that hits early.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb
 from typing import Iterator, Optional
 
 from ._bitops import differences, differences_cost, lsb_index, subset_sums_by_count, subset_sums_cost
+from ._record import Record
 from .lift import verify_ap
 from .sets import IntSet
 
 
-@dataclass(frozen=True)
-class FuncFamily:
+class FuncFamily(Record):
     """Finite family of tables, all on the common horizon [1, T]."""
 
     tables: tuple[tuple[int, ...], ...]
@@ -58,8 +57,7 @@ class FuncFamily:
         return len(self.tables)
 
 
-@dataclass(frozen=True)
-class FuncFamily2D:
+class FuncFamily2D(Record):
     """Family of table pairs (g_first, g_second) on a common horizon."""
 
     pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -91,8 +89,7 @@ def _check_H(H: tuple[int, ...]) -> None:
         prev = t
 
 
-@dataclass(frozen=True)
-class JWitness:
+class JWitness(Record):
     a: int
     H: tuple[int, ...]
 
@@ -102,8 +99,7 @@ class JWitness:
         _check_H(self.H)
 
 
-@dataclass(frozen=True)
-class JWitness2D:
+class JWitness2D(Record):
     a1: int
     a2: int
     H: tuple[int, ...]

@@ -19,10 +19,10 @@ rather than searches the subtrees of colors that differ only by a renaming.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Optional
 
 from ._bitops import ap_starts, from_indices, longest_run, run_starts
+from ._record import Record
 from .lift import Box2D, Set2D, find_pws_witness_2d, is_syndetic_2d
 from .sets import IntSet
 
@@ -68,8 +68,7 @@ def is_thick_on(A: IntSet, interval: tuple[int, int], L: int) -> bool:
     return run_starts(bits, L) != 0
 
 
-@dataclass(frozen=True)
-class PwsWitness:
+class PwsWitness(Record):
     """A length-`length` interval starting at `start` on which A is r-syndetic."""
 
     r: int
@@ -134,8 +133,7 @@ def longest_miss_run(A: IntSet) -> int:
 # --- van der Waerden checks -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VdwResult:
+class VdwResult(Record):
     """Outcome of a coloring search.
 
     verdict is "true" (every coloring has a monochromatic AP), "false"

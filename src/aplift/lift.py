@@ -4,20 +4,20 @@ The lift of A at depth l is the set of pairs (a, d) whose full progression
 a, a+d, ..., a+l*d stays inside A. Pairs whose progression would run past
 the window's top are clipped out of the lift rather than treated as unknown.
 2D largeness is read through aligned blocks: a pair set is (r1, r2)-syndetic
-on a sub-box when every r1 x r2 block inside it meets the set.
+on a sub-box when every r1 x r2 block inside it meets the set. A box may be
+claimed at any size, but ``lift`` builds at most MAX_BITS = 2^27 pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ._bitops import ap_starts, hex_head, iter_bit_indices, lsb_index, run_starts, smear_right
-from .sets import IntSet, Window
+from ._record import Record
+from .sets import MAX_BITS, IntSet, Window
 
 
-@dataclass(frozen=True)
-class APWitness:
+class APWitness(Record):
     """Progression a, a+d, ..., a+l*d (l+1 terms, l steps)."""
 
     a: int
@@ -32,8 +32,7 @@ class APWitness:
         return tuple(self.a + i * self.d for i in range(self.l + 1))
 
 
-@dataclass(frozen=True)
-class Box2D:
+class Box2D(Record):
     """Inclusive rectangle [a_lo, a_hi] x [d_lo, d_hi] of positive pairs."""
 
     a_lo: int
@@ -68,8 +67,7 @@ class Box2D:
         return self.a_lo <= a <= self.a_hi and self.d_lo <= d <= self.d_hi
 
 
-@dataclass(frozen=True)
-class Set2D:
+class Set2D(Record):
     """Subset of a box; rows[j] is the bitmap over a for d = d_lo + j."""
 
     box: Box2D
@@ -132,10 +130,15 @@ def lift(A: IntSet, l: int, box: Box2D) -> Set2D:
     """Pairs (a, d) in the box with a, a+d, ..., a+l*d all in A.
 
     Bits shifted past the window top vanish, which is exactly the clipping
-    rule: a + l*d must stay <= window.hi.
+    rule: a + l*d must stay <= window.hi. A box of more than MAX_BITS pairs
+    raises ValueError before any row is built.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
+    if box.a_width * box.d_width > MAX_BITS:
+        raise ValueError(
+            f"box [{box.a_lo}, {box.a_hi}] x [{box.d_lo}, {box.d_hi}] holds more than 2^27 pairs"
+        )
     w = A.window
     amask = (1 << box.a_width) - 1
     shift = box.a_lo - w.lo

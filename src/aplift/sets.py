@@ -1,8 +1,9 @@
 """Windowed subsets of the positive integers.
 
-Every set lives on an inclusive window [lo, hi] with 1 <= lo <= hi and is
-stored as an integer bitmap: bit i of ``bits`` holds membership of ``lo + i``.
-Values are immutable and all operations are pure functions, so results are
+Every set lives on an inclusive window [lo, hi] with 1 <= lo <= hi, at most
+MAX_BITS = 2^27 positions wide, and is stored as an integer bitmap: bit i of
+``bits`` holds membership of ``lo + i``. Values are immutable records
+(``_record.Record``) and all operations are pure functions, so results are
 safe to share and compare.
 
 Ground set convention: the positive integers {1, 2, 3, ...}. Zero is never a
@@ -11,12 +12,11 @@ member and generator parameters must be >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from ._bitops import from_indices, hex_head, iter_bit_indices
+from ._record import Record
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -32,9 +32,13 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class Window:
-    """Inclusive range [lo, hi] of positive integers."""
+# The most bits a window or a pair box may span: 16 MB as a bitmap, so that no
+# input asks for memory or time beyond what the bitmap kernels handle.
+MAX_BITS = 1 << 27
+
+
+class Window(Record):
+    """Inclusive range [lo, hi] of positive integers, at most MAX_BITS wide."""
 
     lo: int
     hi: int
@@ -44,6 +48,8 @@ class Window:
             raise TypeError("window bounds must be integers")
         if not 1 <= self.lo <= self.hi:
             raise ValueError(f"invalid window [{self.lo}, {self.hi}]")
+        if self.hi - self.lo >= MAX_BITS:
+            raise ValueError(f"window [{self.lo}, {self.hi}] is wider than 2^27 bits")
 
     @property
     def width(self) -> int:
@@ -57,8 +63,7 @@ class Window:
         return self.lo <= x <= self.hi
 
 
-@dataclass(frozen=True)
-class IntSet:
+class IntSet(Record):
     """Immutable subset of a window, backed by an integer bitmap."""
 
     window: Window
@@ -127,7 +132,7 @@ class IntSet:
 
 # --- set expressions -------------------------------------------------------
 #
-# Expression trees are plain frozen dataclasses; ``evaluate(expr, window)``
+# Expression trees are plain immutable records; ``evaluate(expr, window)``
 # produces the IntSet of the expression clipped to the window. Generators
 # whose values leave the window are clipped, never an error; malformed
 # parameters (d = 0, p outside [0, 1], ...) raise ValueError at construction.
@@ -138,8 +143,7 @@ def _check_positive(name: str, value: int) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Ap:
+class Ap(Record):
     """Arithmetic progression a, a+d, a+2d, ... (upward only)."""
 
     a: int
@@ -150,8 +154,7 @@ class Ap:
         _check_positive("step", self.d)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     lo: int
     hi: int
 
@@ -162,16 +165,14 @@ class Interval:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
 
-@dataclass(frozen=True)
-class Multiples:
+class Multiples(Record):
     k: int
 
     def __post_init__(self) -> None:
         _check_positive("modulus", self.k)
 
 
-@dataclass(frozen=True)
-class IpSet:
+class IpSet(Record):
     """All sums over nonempty subsets of the generator list."""
 
     generators: tuple[int, ...]
@@ -183,8 +184,7 @@ class IpSet:
             _check_positive("generator", g)
 
 
-@dataclass(frozen=True)
-class ThickBlocks:
+class ThickBlocks(Record):
     """Union of inclusive blocks [lo, hi] from an explicit schedule."""
 
     blocks: tuple[tuple[int, int], ...]
@@ -199,8 +199,7 @@ class ThickBlocks:
                 raise ValueError(f"empty block [{blo}, {bhi}]")
 
 
-@dataclass(frozen=True)
-class Bernoulli:
+class Bernoulli(Record):
     """Each window element kept independently with probability p.
 
     Membership of x is decided by the splitmix64 mix of (seed + x * golden),
@@ -219,8 +218,7 @@ class Bernoulli:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
-class Shift:
+class Shift(Record):
     """Forward translate: every member m of the child becomes m + c."""
 
     child: "SetExpr"
@@ -231,8 +229,7 @@ class Shift:
             raise ValueError(f"shift amount must be a nonnegative integer, got {self.c!r}")
 
 
-@dataclass(frozen=True)
-class Union:
+class Union(Record):
     children: tuple["SetExpr", ...]
 
     def __post_init__(self) -> None:
@@ -240,8 +237,7 @@ class Union:
             raise ValueError("union needs at least one operand")
 
 
-@dataclass(frozen=True)
-class Intersect:
+class Intersect(Record):
     children: tuple["SetExpr", ...]
 
     def __post_init__(self) -> None:
@@ -249,8 +245,7 @@ class Intersect:
             raise ValueError("intersect needs at least one operand")
 
 
-@dataclass(frozen=True)
-class Complement:
+class Complement(Record):
     """Complement relative to the evaluation window."""
 
     child: "SetExpr"
@@ -291,7 +286,8 @@ def _block_bits(lo: int, hi: int, w: Window) -> int:
 @lru_cache(maxsize=256)
 def _threshold(p: float) -> int:
     """floor(p * 2^64) for p's exact binary value: a mix below it is a member."""
-    return int(Fraction(p) * (1 << 64))
+    num, den = p.as_integer_ratio()
+    return (num << 64) // den
 
 
 def bernoulli_member(x: int, p: float, seed: int) -> bool:

@@ -20,10 +20,10 @@ consequence for lifted pair sets: B_N shifted by (a, b) lands inside B_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 from ._bitops import ap_starts, iter_bit_indices
+from ._record import Record, replace
 from .jsets import FuncFamily, JWitness, jset_witness, verify_jwitness
 from .largeness import PwsWitness, find_pws_witness, verify_pws_claim
 from .lift import Box2D, Set2D, lift
@@ -34,8 +34,7 @@ KIND_C_SET = "c-set-candidate"
 CHAIN_KINDS = (KIND_QUASI_CENTRAL, KIND_C_SET)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     levels: tuple[IntSet, ...]
     kind: str
 
@@ -62,8 +61,7 @@ class Chain:
         return len(self.levels)
 
 
-@dataclass(frozen=True)
-class Chain2D:
+class Chain2D(Record):
     """Levelwise lift of a chain; empty lifted levels are allowed."""
 
     levels: tuple[Set2D, ...]
@@ -88,8 +86,7 @@ class Chain2D:
         return len(self.levels)
 
 
-@dataclass(frozen=True)
-class TranslateProbe:
+class TranslateProbe(Record):
     """Outcome for one probed member x of level n."""
 
     level: int
@@ -97,8 +94,7 @@ class TranslateProbe:
     found_level: Optional[int]
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Record):
     """Translate probes plus what the chain's kind needs: r, L and a pws
     witness per level, or the families, a_max and a J-set witness per level
     and family. A translate-only report has no evidence and does not pass.

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+from datetime import datetime, timezone
 
 import pytest
 
@@ -162,6 +164,26 @@ def test_created_is_outside_the_digest():
     cert = make_pws_cert()
     cert["created"] = "1970-01-01T00:00:00+00:00"
     assert verify_certificate(cert) is True
+
+
+def test_created_is_utc_to_the_second():
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    created = make_ap_cert()["created"]
+    after = datetime.now(timezone.utc)
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", created)
+    assert before <= datetime.fromisoformat(created) <= after
+
+
+def test_nesting_too_deep_to_encode_is_malformed():
+    # Python objects nest deeper than json.dumps can encode; that is a
+    # malformed payload, not a RecursionError
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    cert = make_ap_cert()
+    cert["inputs"] = deep
+    with pytest.raises(MalformedPayload):
+        verify_certificate(cert)
 
 
 def test_verify_with_external_inputs():

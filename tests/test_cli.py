@@ -1,11 +1,17 @@
 """Command-line interface: subcommands, exit codes, certificate emission."""
 
+import contextlib
 import json
+import os
 import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import aplift
 from aplift import certificates, cli
 from aplift.certificates import verify_certificate
 from aplift.cli import run_command
@@ -27,6 +33,23 @@ def run(capsys, *argv):
     code = run_command(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@contextlib.contextmanager
+def address_space_cap():
+    """At most 1 GB more address space, so that work sized by a forged
+    number fails with MemoryError instead of exhausting the host."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        used = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = used + (1 << 30)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def test_analyze_basic(capsys):
@@ -485,20 +508,10 @@ def test_verify_huge_progression_length_is_bounded(capsys, tmp_path):
     dest = tmp_path / "forged.json"
     dest.write_text(certificates.dumps_certificate(cert))
     # a verifier that builds all 10**12 terms then fails with MemoryError
-    # within 1 GB more address space, instead of exhausting the host
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    with open("/proc/self/statm") as fh:
-        used = int(fh.read().split()[0]) * resource.getpagesize()
-    cap = used + (1 << 30)
-    if hard != resource.RLIM_INFINITY:
-        cap = min(cap, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-    try:
+    with address_space_cap():
         start = time.perf_counter()
         code, out, _ = run(capsys, "verify", str(dest))
         elapsed = time.perf_counter() - start
-    finally:
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
     assert code == 4 and out.startswith("invalid")
     assert elapsed < 1.0
 
@@ -532,3 +545,70 @@ def test_verify_pws2d_lifts_only_the_sub_box(capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(dest))
         assert code == expected
         assert time.perf_counter() - start < 0.5
+
+
+def test_verify_deeply_nested_json_exit_four(capsys, tmp_path):
+    dest = tmp_path / "deep.json"
+    dest.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "verify", str(dest))
+    assert code == 4 and out.startswith("not a certificate: ") and not err
+
+
+_WIDE = 10 ** 10
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--set", "multiples(3)", "--window", f"1:{_WIDE}"], "wider than 2^27 bits"),
+    (["analyze", "--set-file", "{elements}"], "wider than 2^27 bits"),
+    (["lift", "--set", "multiples(3)", "--window", "1:100", "--len", "2",
+      "--box", "1:10x1:1000000000", "--r1", "1", "--r2", "1"], "holds more than 2^27 pairs"),
+    # the box induced by 40,000 bits at depth 2 has 20,000 x 10,000 pairs
+    (["lift", "--set", "multiples(3)", "--window", "1:40000", "--len", "2",
+      "--r1", "1", "--r2", "1"], "choose a smaller one with --box"),
+])
+def test_window_and_box_ceiling_exit_two(capsys, tmp_path, argv, message):
+    elements = tmp_path / "elements.txt"
+    elements.write_text(f"1 2 {_WIDE}\n")
+    argv = [a.format(elements=elements) for a in argv]
+    with address_space_cap():
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "") and message in err
+    assert elapsed < 1.0
+
+
+_MULTIPLES_2 = {"expr": "multiples(2)", "window": [1, 100]}
+
+
+@pytest.mark.parametrize("kind, inputs, params, witness", [
+    ("ap", {"expr": "multiples(2)", "window": [1, _WIDE]}, {"l": 2}, {"a": 2, "d": 2}),
+    ("ap", {"set_text": f"1 2 {_WIDE}\n"}, {"l": 1}, {"a": 1, "d": 1}),
+    # the forged certificate whose sub-box is 10**6 x 10**6 pairs
+    ("pws2d", _MULTIPLES_2, {"l": 1, "box": [1, 10 ** 6, 1, 10 ** 6], "r1": 1, "r2": 1,
+                             "L1": 10 ** 6, "L2": 10 ** 6}, {"a0": 1, "d0": 1}),
+    ("pws2d", _MULTIPLES_2, {"l": 1, "box": [1, 10, 1, 10 ** 9], "r1": 1, "r2": 1,
+                             "L1": 10, "L2": 10 ** 9}, {"a0": 1, "d0": 1}),
+])
+def test_window_and_box_ceiling_verify_exit_four(capsys, tmp_path, kind, inputs, params, witness):
+    cert = certificates.build_certificate(kind, inputs, params, witness)
+    dest = tmp_path / "forged.json"
+    dest.write_text(certificates.dumps_certificate(cert))
+    with address_space_cap():
+        start = time.perf_counter()
+        verdict = verify_certificate(cert)
+        code, out, _ = run(capsys, "verify", str(dest))
+        elapsed = time.perf_counter() - start
+    assert verdict is False
+    assert code == 4 and out.startswith("invalid")
+    assert elapsed < 1.0
+
+
+def test_cli_import_path_skips_heavy_modules():
+    # -S keeps site's .pth files, and what they import, out of the check
+    src = Path(aplift.__file__).parents[1]
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "datetime")
+    code = f"import sys, aplift.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert proc.stdout.split() == []

@@ -5,6 +5,7 @@ script (plain set comprehensions over ranges) before these tests were
 written; they are independent of the bitmap implementation.
 """
 
+from fractions import Fraction
 from hashlib import sha256
 
 import pytest
@@ -201,6 +202,18 @@ def test_bernoulli_matches_member_anywhere(lo, width, p, seed):
     w = Window(lo, lo + width - 1)
     expect = [x for x in range(w.lo, w.hi + 1) if bernoulli_member(x, p, seed)]
     assert list(evaluate(Bernoulli(p, seed), w).members()) == expect
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 2.0 ** -64, 2.0 ** -65, 1 / 3, 0.3, 1 - 2.0 ** -53, 1.0])
+def test_threshold_is_exact_floor(p):
+    # floor(p * 2^64) of p's exact binary value, as the Fraction oracle gives it
+    assert sets._threshold(p) == int(Fraction(p) * 2 ** 64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0))
+def test_threshold_matches_fraction(p):
+    assert sets._threshold(p) == int(Fraction(p) * 2 ** 64)
 
 
 def test_bernoulli_bits_pinned():

@@ -1,9 +1,8 @@
 """Decreasing chains, the translate property, and its lift to pair space."""
 
-from dataclasses import replace
-
 import pytest
 
+from aplift._record import replace
 from aplift.jsets import FuncFamily, JWitness
 from aplift.largeness import find_pws_witness
 from aplift.lift import Box2D, induced_box, lift
