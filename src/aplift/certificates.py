@@ -12,11 +12,12 @@ no floating-point values, identical bytes for identical runs apart from
 The table ``_CLAIMS`` is the single source of the certificate kinds (README
 lists them): each kind's row names its input keys, its parameter and witness
 fields, its truncation notes and the verifier that re-checks it, which lives
-beside the kind's search. ``_FIELDS`` holds each field's JSON shape, its
-encoder and its decoder, so a field is written beside where it is read:
-``certify`` places a kind's values by its row and writes each one through
-its field, and ``verify_certificate`` decodes each one back. This module
-holds no semantic check of its own. Only the evidence that a chain's kind
+beside the kind's search, and for ``ap``, ``pws`` and ``pws2d`` the positions
+of the set that the verifier reads. ``_FIELDS`` holds each field's JSON
+shape, its encoder and its decoder, so a field is written beside where it
+is read: ``certify`` places a kind's values by its row and writes each one
+through its field, and ``verify_certificate`` decodes each one back. This
+module holds no semantic check of its own. Only the evidence that a chain's kind
 adds is written and read by hand, by ``chain_certificate`` and
 ``_chain_report``.
 
@@ -47,7 +48,7 @@ from .fileformats import (
 )
 from .jsets import JWitness, verify_jwitness, verify_transfer_witness
 from .largeness import PwsWitness, verify_pws_claim, verify_vdw_claim
-from .lift import Box2D, verify_ap, verify_pws2d_claim
+from .lift import Box2D, reach, verify_ap, verify_pws2d_claim
 from .sets import IntSet, SetExpr, Window, evaluate
 from .towers import KIND_QUASI_CENTRAL, Chain, ChainReport, TranslateProbe, verify_chain_report
 
@@ -61,16 +62,26 @@ class _Claim(NamedTuple):
     truncation: tuple[str, ...]
     verify: Callable[..., bool]  # takes the decoded fields in row order
     recorded: tuple[str, ...] = ()  # witness fields written for the reader only
+    # from the decoded params and witness, the positions (lo, hi) of the set
+    # that the verifier reads; None reads the whole window
+    reads: Optional[Callable[..., tuple[int, int]]] = None
 
 
 _SUMS = "sums landing outside the window count as non-members"
 _CLIPPED = "pairs whose progression leaves the window are excluded from the lift"
 _SHIFTED = "translate inclusions are checked on the window truncated by each shift"
 _CLAIMS = {
-    "ap": _Claim(("set",), ("l",), ("a", "d"), (), verify_ap),
-    "pws": _Claim(("set",), ("r", "L"), ("start",), (), verify_pws_claim),
+    "ap": _Claim(
+        ("set",), ("l",), ("a", "d"), (), verify_ap,
+        reads=lambda l, a, d: reach(l, Box2D(a, a, d, d)),
+    ),
+    "pws": _Claim(
+        ("set",), ("r", "L"), ("start",), (), verify_pws_claim,
+        reads=lambda r, L, start: (start, start + L - 1),
+    ),
     "pws2d": _Claim(
-        ("set",), ("l", "box", "r1", "r2", "L1", "L2"), ("a0", "d0"), (_CLIPPED,), verify_pws2d_claim
+        ("set",), ("l", "box", "r1", "r2", "L1", "L2"), ("a0", "d0"), (_CLIPPED,), verify_pws2d_claim,
+        reads=lambda l, box, r1, r2, L1, L2, a0, d0: reach(l, Box2D(a0, a0 + L1 - 1, d0, d0 + L2 - 1)),
     ),
     "jset": _Claim(("set", "family"), ("a_max",), ("a", "H"), (_SUMS,), verify_jwitness),
     "jset2d": _Claim(
@@ -215,12 +226,14 @@ def _require(cond: bool, msg: str) -> None:
         raise MalformedPayload(msg)
 
 
-def _field(section: dict, name: str):
-    """Decode one field by its name; a shape the name does not accept is malformed."""
+def _field(section: dict, name: str, reads: Optional[tuple[int, int]] = None):
+    """Decode one field by its name; a shape the name does not accept is malformed.
+    An expression set is evaluated only on the part of its window in ``reads``."""
     _require(isinstance(section, dict), f"the evidence holding {name} must be an object")
     if name == "set":
         if "expr" in section:
-            return evaluate(_field(section, "expr"), _field(section, "window"))
+            expr, window = _field(section, "expr"), _field(section, "window")
+            return evaluate(expr, window if reads is None else window.clip(reads))
         _require("set_text" in section, "inputs carry neither an expression nor a set text")
         return _field(section, "set_text")
     field = _FIELDS[name]
@@ -315,6 +328,13 @@ def verify_certificate(cert: dict, inputs: Optional[dict] = None) -> bool:
     unrecognized kind, MalformedPayload for structural defects. Passing
     ``inputs`` checks the claim against those instead of the embedded copy;
     they must hash to the recorded input digest.
+
+    The params and the witness are decoded before the set. For the kinds
+    whose row names ``reads`` (``ap``, ``pws``, ``pws2d``), an expression
+    set is then evaluated only on the window positions the witness reads,
+    so the check costs in proportion to the witness, not to the window.
+    Every generator and combinator is pointwise, so those positions hold
+    what they hold on the whole window.
     """
     _require(isinstance(cert, dict), "certificate must be an object")
     for key in ("schema", "kind", "inputs", "params", "witness", "digest", "input_digest"):
@@ -337,9 +357,12 @@ def verify_certificate(cert: dict, inputs: Optional[dict] = None) -> bool:
     _require(isinstance(params, dict), "params must be an object")
     _require(isinstance(witness, dict), "witness must be an object")
     claim = _CLAIMS[kind]
-    fields = ((inputs, claim.inputs), (params, claim.params), (witness, claim.witness))
     try:
-        args = [_field(section, name) for section, names in fields for name in names]
+        # params and witness come first: they bound the positions the claim reads
+        fields = ((params, claim.params), (witness, claim.witness))
+        values = [_field(section, name) for section, names in fields for name in names]
+        reads = claim.reads(*values) if claim.reads else None
+        args = [_field(inputs, name, reads) for name in claim.inputs] + values
         if kind == "chain":
             args = [args[0], _chain_report(*args, inputs, params)]
         return claim.verify(*args)

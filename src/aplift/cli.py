@@ -34,7 +34,7 @@ from .largeness import (
     min_r_for_L,
     vdw_check,
 )
-from .lift import Box2D, ap_search, find_pws_witness_2d, induced_box, lift
+from .lift import Box2D, ap_search, find_pws_witness_2d, induced_box, lift, reach
 from .sets import IntSet, Window, evaluate
 from .towers import KIND_QUASI_CENTRAL, ap_translate_level_search, check_cset, check_quasicentral
 
@@ -68,8 +68,15 @@ def _parse_box(text: str) -> Box2D:
 
 
 def _load_set(args) -> tuple[IntSet, Callable[[], dict]]:
-    """Build the working set, and a thunk for its canonical certificate inputs."""
+    """Build the working set, and a thunk for its canonical certificate inputs.
+
+    A set file is read whole. An expression is evaluated only on the part of
+    --window that the command reads (all of it but for ``lift --box``); the
+    certificate records the window as given.
+    """
     if args.set_file:
+        if args.set or args.window:
+            raise ValueError("--set-file takes neither --set nor --window")
         text = Path(args.set_file).read_text()
         A = read_intset(text)
         return A, lambda: certs.inputs_for_set(A)
@@ -79,7 +86,11 @@ def _load_set(args) -> tuple[IntSet, Callable[[], dict]]:
         raise ValueError("--set needs --window LO:HI")
     window = _parse_window(args.window)
     program = parse_dsl(args.set)
-    return evaluate(program.expr, window), lambda: certs.inputs_for_expr(program.expr, window)
+    if args.command == "lift" and args.box:
+        A = evaluate(program.expr, window.clip(reach(args.len, _parse_box(args.box))))
+    else:
+        A = evaluate(program.expr, window)
+    return A, lambda: certs.inputs_for_expr(program.expr, window)
 
 
 def _braces(values) -> str:

@@ -126,12 +126,21 @@ def ap_search(A: IntSet, l: int) -> Optional[APWitness]:
     return None
 
 
+def reach(l: int, box: Box2D) -> tuple[int, int]:
+    """The positions a lift of the box at depth l reads: from a_lo, its least
+    start, to a_hi + l*d_hi, the last term of its largest pair."""
+    return box.a_lo, box.a_hi + l * box.d_hi
+
+
 def lift(A: IntSet, l: int, box: Box2D) -> Set2D:
     """Pairs (a, d) in the box with a, a+d, ..., a+l*d all in A.
 
-    Bits shifted past the window top vanish, which is exactly the clipping
-    rule: a + l*d must stay <= window.hi. A box of more than MAX_BITS pairs
-    raises ValueError before any row is built.
+    A's bits are cut once to the box's reach inside the window, so each row
+    costs in proportion to the reach, not to the window. Bits shifted past
+    the window top vanish, which is exactly the clipping rule: a + l*d must
+    stay <= window.hi. A row whose progression from a_lo already passes the
+    top is empty and is appended without a scan. A box of more than MAX_BITS
+    pairs raises ValueError before any row is built.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -140,13 +149,14 @@ def lift(A: IntSet, l: int, box: Box2D) -> Set2D:
             f"box [{box.a_lo}, {box.a_hi}] x [{box.d_lo}, {box.d_hi}] holds more than 2^27 pairs"
         )
     w = A.window
+    r = w.clip(reach(l, box))
+    bits = (A.bits >> (r.lo - w.lo)) & r.mask
+    # rows d_lo .. d_lo + scanned - 1 are those with a_lo + l*d <= r.hi
+    scanned = max(0, min(box.d_hi, (r.hi - box.a_lo) // l) - box.d_lo + 1)
     amask = (1 << box.a_width) - 1
-    shift = box.a_lo - w.lo
-    rows = []
-    for d in range(box.d_lo, box.d_hi + 1):
-        m = ap_starts(A.bits, d, l)
-        row = (m >> shift) if shift >= 0 else (m << -shift)
-        rows.append(row & amask)
+    rows = [(ap_starts(bits, d, l) << (r.lo - box.a_lo)) & amask
+            for d in range(box.d_lo, box.d_lo + scanned)]
+    rows += [0] * (box.d_width - scanned)
     return Set2D(box, tuple(rows))
 
 

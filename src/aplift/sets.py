@@ -62,6 +62,12 @@ class Window(Record):
     def __contains__(self, x: int) -> bool:
         return self.lo <= x <= self.hi
 
+    def clip(self, reads: tuple[int, int]) -> "Window":
+        """The positions of the window inside reads = (lo, hi), or the whole
+        window when they miss it."""
+        lo, hi = max(self.lo, reads[0]), min(self.hi, reads[1])
+        return Window(lo, hi) if lo <= hi else self
+
 
 class IntSet(Record):
     """Immutable subset of a window, backed by an integer bitmap."""

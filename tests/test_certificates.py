@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import re
 from datetime import datetime, timezone
 
@@ -20,14 +21,33 @@ from aplift.certificates import (
     chain_certificate,
     dumps_certificate,
     inputs_for_expr,
+    inputs_for_set,
     inputs_for_set_text,
     verify_certificate,
 )
 from aplift.fileformats import write_intset
 from aplift.jsets import FuncFamily, FuncFamily2D, jset_witness, transfer_witness
-from aplift.largeness import find_pws_witness, vdw_check
-from aplift.lift import ap_search, find_pws_witness_2d, induced_box, lift
-from aplift.sets import Interval, Multiples, Union, Window, evaluate
+from aplift.largeness import find_pws_witness, vdw_check, verify_pws_claim
+from aplift.lift import (
+    Box2D,
+    ap_search,
+    find_pws_witness_2d,
+    induced_box,
+    lift,
+    verify_ap,
+    verify_pws2d_claim,
+)
+from aplift.sets import (
+    Bernoulli,
+    Complement,
+    Intersect,
+    Interval,
+    Multiples,
+    Shift,
+    Union,
+    Window,
+    evaluate,
+)
 from aplift.towers import (
     KIND_C_SET,
     KIND_QUASI_CENTRAL,
@@ -399,3 +419,68 @@ def test_chain_x_max_below_one_is_not_vacuous():
     forged = build_certificate("chain", cert["inputs"], {**cert["params"], "x_max": 0},
                                {**cert["witness"], "translate": []})
     assert rejected(forged)
+
+
+def full_window_verdict(kind, A, params, witness):
+    """The claim's verifier on the set built over its whole window."""
+    try:
+        if kind == "ap":
+            return verify_ap(A, params["l"], witness["a"], witness["d"])
+        if kind == "pws":
+            return verify_pws_claim(A, params["r"], params["L"], witness["start"])
+        return verify_pws2d_claim(
+            A, params["l"], Box2D(*params["box"]), params["r1"], params["r2"],
+            params["L1"], params["L2"], witness["a0"], witness["d0"],
+        )
+    except ValueError:
+        return False
+
+
+_DENSE_EXPRS = (
+    Bernoulli(0.8, 5),
+    Complement(Shift(Bernoulli(0.2, 2), 1)),
+    Union((Multiples(2), Shift(Complement(Multiples(3)), 2))),
+    Intersect((Complement(Interval(30, 34)), Complement(Complement(Bernoulli(0.9, 1))))),
+)
+
+
+def _random_claim(rng, kind, w):
+    """Params and witness that land inside, across or past the window; for
+    pws2d a sub-box inside or outside the box, and blocks that may not fit."""
+    reach = w.hi + 20
+    if kind == "ap":
+        return {"l": rng.randint(1, 4)}, {"a": rng.randint(1, reach), "d": rng.randint(1, 25)}
+    if kind == "pws":
+        return ({"r": rng.randint(1, 6), "L": rng.randint(1, 80)},
+                {"start": rng.randint(1, reach)})
+    a_lo, d_lo = rng.randint(1, reach), rng.randint(1, 12)
+    box = [a_lo, a_lo + rng.randint(0, 40), d_lo, d_lo + rng.randint(0, 12)]
+    params = {"l": rng.randint(1, 3), "box": box, "r1": rng.randint(1, 4), "r2": rng.randint(1, 4),
+              "L1": rng.randint(1, 30), "L2": rng.randint(1, 8)}
+    if rng.random() < 0.8:  # a corner inside the box, the sub-box maybe not
+        witness = {"a0": rng.randint(box[0], box[1]), "d0": rng.randint(box[2], box[3])}
+    else:
+        witness = {"a0": rng.randint(1, reach + 40), "d0": rng.randint(1, 30)}
+    return params, witness
+
+
+@pytest.mark.parametrize("kind", ["ap", "pws", "pws2d"])
+def test_verify_reads_only_the_witness_reach_same_verdicts(kind):
+    # verify evaluates an expression only where the witness reads it; on
+    # valid and forged claims alike it must agree with the verifier run on
+    # the set built over the whole window, with and without inputs=
+    rng = random.Random(f"reads-{kind}")
+    verdicts = []
+    for _ in range(400):
+        lo = rng.randint(1, 30)
+        w = Window(lo, lo + rng.randint(0, 160))
+        expr = rng.choice(_DENSE_EXPRS)
+        A = evaluate(expr, w)
+        params, witness = _random_claim(rng, kind, w)
+        expected = full_window_verdict(kind, A, params, witness)
+        for inputs in (inputs_for_expr(expr, w), inputs_for_set(A)):
+            cert = build_certificate(kind, inputs, params, witness)
+            assert verify_certificate(cert) is expected, (expr, w, params, witness)
+            assert verify_certificate(cert, inputs=json.loads(json.dumps(inputs))) is expected
+        verdicts.append(expected)
+    assert 20 <= sum(verdicts) <= len(verdicts) - 20

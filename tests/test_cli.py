@@ -15,7 +15,7 @@ import aplift
 from aplift import certificates, cli
 from aplift.certificates import verify_certificate
 from aplift.cli import run_command
-from aplift.dsl import MAX_DEPTH
+from aplift.dsl import MAX_DEPTH, parse_dsl
 from aplift.fileformats import (
     read_intset,
     write_chain,
@@ -225,6 +225,69 @@ def test_set_file_input(capsys, tmp_path):
     sf.write_text(write_intset(A))
     code, out, _ = run(capsys, "ap", "--set-file", str(sf), "--len", "3")
     assert code == 0 and "a=2 d=2" in out
+
+
+@pytest.mark.parametrize("extra", [
+    ["--set", "x"],
+    ["--window", "1:100"],
+    ["--set", "multiples(2)", "--window", "1:100"],
+])
+def test_set_file_with_set_or_window_exits_two(capsys, tmp_path, extra):
+    # the set file would win, and the other flags be dropped unread
+    sf = tmp_path / "set.txt"
+    sf.write_text(write_intset(evaluate(Multiples(2), Window(1, 100))))
+    code, out, err = run(capsys, "ap", "--set-file", str(sf), "--len", "1", *extra)
+    assert (code, out) == (2, "") and "--set-file takes neither --set nor --window" in err
+
+
+def _recording_evaluate(monkeypatch, module):
+    windows = []
+
+    def recording(expr, w):
+        windows.append(w)
+        return evaluate(expr, w)
+
+    monkeypatch.setattr(module, "evaluate", recording)
+    return windows
+
+
+def test_lift_box_evaluates_only_the_box_reach(capsys, tmp_path, monkeypatch):
+    # the box's pairs read [a_lo, a_hi + l * d_hi] = [5, 40 + 2 * 9]; the
+    # report is the one a set file of the whole window gives, the
+    # certificate records the window as given, and verify evaluates only
+    # the reach of the 10 x 3 sub-box it names
+    text = "union(multiples(3), bernoulli(0.6, 4))"
+    sf = tmp_path / "set.txt"
+    sf.write_text(write_intset(evaluate(parse_dsl(text).expr, Window(1, 500))))
+    argv = ["lift", "--len", "2", "--box", "5:40x3:9", "--r1", "2", "--r2", "2",
+            "--L1", "10", "--L2", "3"]
+    cli_windows = _recording_evaluate(monkeypatch, cli)
+    dest = tmp_path / "pws2d.json"
+    code, out, _ = run(capsys, *argv, "--set", text, "--window", "1:500", "--out", str(dest))
+    assert code == 0 and cli_windows == [Window(5, 58)]
+    assert out == run(capsys, *argv, "--set-file", str(sf))[1] + f"certificate written to {dest}\n"
+    cert = json.loads(dest.read_text())
+    assert cert["inputs"]["window"] == [1, 500]
+    a0, d0 = cert["witness"]["a0"], cert["witness"]["d0"]
+    cert_windows = _recording_evaluate(monkeypatch, certificates)
+    assert run(capsys, "verify", str(dest))[0] == 0
+    assert cert_windows == [Window(a0, a0 + 9 + 2 * (d0 + 2))]
+    # a box whose reach misses the window evaluates the whole window
+    code, out, _ = run(capsys, "lift", "--set", text, "--window", "1:500", "--len", "2",
+                       "--box", "600:700x1:2", "--r1", "1", "--r2", "1")
+    assert code == 1 and cli_windows[-1] == Window(1, 500)
+
+
+def test_lift_box_and_verify_on_the_widest_window_take_under_a_second(capsys, tmp_path):
+    # the window holds 2^27 positions, over 10 s to build; the box reads 216
+    dest = tmp_path / "wide.json"
+    lift = ["lift", "--set", "bernoulli(0.5, 7)", "--window", "1:134217728", "--len", "2",
+            "--box", "1:200x1:8", "--r1", "8", "--r2", "8", "--L1", "64", "--L2", "8",
+            "--out", str(dest)]
+    for argv in (lift, ["verify", str(dest)]):
+        start = time.perf_counter()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and time.perf_counter() - start < 1.0
 
 
 def test_set_file_parsed_once(capsys, tmp_path, monkeypatch):

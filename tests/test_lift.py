@@ -180,6 +180,27 @@ def test_lift_clips_out_of_window_tails():
     assert (18, 1) in B and (18, 2) not in B
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 150), st.integers(0, 2 ** 32), st.integers(1, 3),
+       st.integers(1, 200), st.integers(1, 60), st.booleans())
+def test_lift_matches_brute_on_thin_and_tall_boxes(lo, width, seed, l, a_lo, d_lo, thin):
+    # boxes that start below, inside and above the window, one column wide
+    # and tall, or wide and one row tall: rows past the window's top are
+    # empty, and so is every row of a box whose reach misses the window
+    A = evaluate(Bernoulli(0.8, seed), Window(lo, lo + width - 1))
+    box = Box2D(a_lo, a_lo, d_lo, d_lo + 120) if thin else Box2D(a_lo, a_lo + 120, d_lo, d_lo)
+    B = lift(A, l, box)
+    assert set(B.members()) == lift_brute(A, l, box)
+
+
+def test_lift_tall_box_past_the_top():
+    # the progressions from a = 1 at d >= 50 pass 100, so those rows are empty
+    A = evaluate(Multiples(3), Window(1, 100))
+    B = lift(A, 2, Box2D(3, 3, 1, 10 ** 6))
+    assert len(B.rows) == 10 ** 6 and not any(B.rows[48:])
+    assert set(B.members()) == {(3, d) for d in range(3, 49, 3)}
+
+
 def test_lift_antitone_in_depth():
     A = evaluate(Bernoulli(0.7, 3), Window(1, 100))
     box = Box2D(1, 40, 1, 10)

@@ -276,6 +276,46 @@ def test_shift_set_composes(hi, x, y):
     assert list(once.members()) == list(both.members())
 
 
+def test_window_clip():
+    w = Window(10, 50)
+    assert w.clip((20, 30)) == Window(20, 30)
+    assert w.clip((1, 12)) == Window(10, 12)
+    assert w.clip((45, 10 ** 12)) == Window(45, 50)
+    assert w.clip((1, 10 ** 12)) == w
+    # reads that miss the window leave it whole
+    assert w.clip((51, 60)) == w and w.clip((1, 9)) == w and w.clip((30, 20)) == w
+
+
+_LEAVES = st.one_of(
+    st.builds(Ap, st.integers(1, 80), st.integers(1, 20)),
+    st.builds(lambda lo, n: Interval(lo, lo + n), st.integers(1, 300), st.integers(0, 100)),
+    st.builds(Multiples, st.integers(1, 30)),
+    st.builds(IpSet, st.lists(st.integers(1, 200), min_size=1, max_size=6).map(tuple)),
+    st.builds(ThickBlocks, st.lists(
+        st.builds(lambda lo, n: (lo, lo + n), st.integers(1, 300), st.integers(0, 40)),
+        min_size=1, max_size=4).map(tuple)),
+    st.builds(Bernoulli, st.floats(0.0, 1.0), st.integers(0, 2 ** 64)),
+)
+_EXPRS = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.builds(Shift, kids, st.integers(0, 3)),
+    st.builds(Union, st.lists(kids, min_size=1, max_size=3).map(tuple)),
+    st.builds(Intersect, st.lists(kids, min_size=1, max_size=3).map(tuple)),
+    st.builds(Complement, kids),
+), max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPRS, st.integers(1, 40), st.integers(1, 3 * 8 * sets._LANES), st.data())
+def test_evaluation_is_pointwise(expr, lo, width, data):
+    # evaluating on a sub-window W' of W gives W's result restricted to W':
+    # what lets lift --box and verify evaluate only the positions they read
+    w = Window(lo, lo + width - 1)
+    sub_lo = data.draw(st.integers(w.lo, w.hi), label="sub_lo")
+    sub = Window(sub_lo, data.draw(st.integers(sub_lo, w.hi), label="sub_hi"))
+    whole = evaluate(expr, w).bits
+    assert evaluate(expr, sub).bits == (whole >> (sub.lo - w.lo)) & sub.mask
+
+
 @given(st.integers(1, 10 ** 6), st.floats(0.0, 1.0, allow_nan=False),
        st.integers(0, 2 ** 32))
 def test_bernoulli_member_total(x, p, seed):
