@@ -96,7 +96,6 @@ _CLAIMS = {
         recorded=("strategy", "explored"),
     ),
 }
-CERT_KINDS = tuple(_CLAIMS)
 
 
 class CertificateError(Exception):
@@ -127,7 +126,7 @@ def _sha(text: str) -> str:
 
 
 def build_certificate(kind: str, inputs: dict, params: dict, witness: dict) -> dict:
-    if kind not in CERT_KINDS:
+    if kind not in _CLAIMS:
         raise ValueError(f"unknown certificate kind {kind!r}")
     body = {
         "schema": SCHEMA,
@@ -321,34 +320,34 @@ def _chain_report(
     )
 
 
-def verify_certificate(cert: dict, inputs: Optional[dict] = None) -> bool:
-    """Re-check a certificate. Returns the semantic verdict of the witness.
+def verify_certificate(cert: dict) -> bool:
+    """Re-check a certificate against the inputs it embeds. Returns the
+    semantic verdict of the witness.
 
-    Raises DigestMismatch when either digest fails, UnknownKind for an
-    unrecognized kind, MalformedPayload for structural defects. Passing
-    ``inputs`` checks the claim against those instead of the embedded copy;
-    they must hash to the recorded input digest.
+    Raises DigestMismatch when either digest fails (the embedded inputs must
+    hash to the recorded input digest), UnknownKind for an unrecognized
+    kind, MalformedPayload for structural defects.
 
     The params and the witness are decoded before the set. For the kinds
     whose row names ``reads`` (``ap``, ``pws``, ``pws2d``), an expression
     set is then evaluated only on the window positions the witness reads,
-    so the check costs in proportion to the witness, not to the window.
-    Every generator and combinator is pointwise, so those positions hold
-    what they hold on the whole window.
+    so the check costs in proportion to the witness, not to the window; a
+    witness that reads no position of the window gets the window's first
+    position alone. Every generator and combinator is pointwise, so those
+    positions hold what they hold on the whole window.
     """
     _require(isinstance(cert, dict), "certificate must be an object")
     for key in ("schema", "kind", "inputs", "params", "witness", "digest", "input_digest"):
         _require(key in cert, f"missing field {key!r}")
     _require(cert["schema"] == SCHEMA, f"unsupported schema {cert.get('schema')!r}")
     kind = cert["kind"]
-    if kind not in CERT_KINDS:
+    if kind not in _CLAIMS:
         raise UnknownKind(f"unknown certificate kind {kind!r}")
 
     body = {k: v for k, v in cert.items() if k not in ("digest", "created")}
     if _sha(canonical_json(body)) != cert["digest"]:
         raise DigestMismatch("certificate digest does not match its content")
-    if inputs is None:
-        inputs = cert["inputs"]
+    inputs = cert["inputs"]
     if _sha(canonical_json(inputs)) != cert["input_digest"]:
         raise DigestMismatch("inputs do not match the recorded input digest")
 

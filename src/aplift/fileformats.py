@@ -1,4 +1,4 @@
-"""Plain-text exchange formats for sets, pair sets, families and chains.
+"""Plain-text exchange formats for sets, families and chains.
 
 Set files come in two forms:
 
@@ -6,9 +6,6 @@ Set files come in two forms:
     taken to be [1, max element];
   * bitmap: a header line ``window LO HI`` followed by one 0/1 string of
     length HI - LO + 1 (leftmost character = LO).
-
-Pair-set files: header ``box ALO AHI DLO DHI`` followed by one 0/1 row per
-step value d from DLO to DHI (leftmost character = ALO).
 
 Family files: header ``family M T`` followed by M rows of T positive ints;
 ``family2d M T`` followed by 2M rows, alternating first/second table of each
@@ -21,7 +18,6 @@ the value bit-exactly.
 from __future__ import annotations
 
 from .jsets import FuncFamily, FuncFamily2D
-from .lift import Box2D, Set2D
 from .sets import IntSet, Window
 from .towers import Chain
 
@@ -97,25 +93,6 @@ def read_intset(text: str) -> IntSet:
     if min(xs) < 1:
         raise ValueError("set elements must be positive")
     return IntSet.from_members(Window(1, max(xs)), xs)
-
-
-def write_set2d(B: Set2D) -> str:
-    box = B.box
-    lines = [f"box {box.a_lo} {box.a_hi} {box.d_lo} {box.d_hi}"]
-    lines.extend(_bitstring(row, box.a_width) for row in B.rows)
-    return "\n".join(lines) + "\n"
-
-
-def read_set2d(text: str) -> Set2D:
-    fields, rows = _header(text, "pair-set", "box ALO AHI DLO DHI",
-                           "pair-set header needs four bounds")
-    box = Box2D(*_int_fields(fields, "box bounds"))
-    if len(rows) != box.d_width:
-        raise ValueError(f"expected {box.d_width} rows, got {len(rows)}")
-    return Set2D(
-        box,
-        tuple(_parse_bitstring(r, box.a_width, f"row {i}") for i, r in enumerate(rows)),
-    )
 
 
 def write_family(F: FuncFamily) -> str:

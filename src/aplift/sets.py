@@ -63,10 +63,12 @@ class Window(Record):
         return self.lo <= x <= self.hi
 
     def clip(self, reads: tuple[int, int]) -> "Window":
-        """The positions of the window inside reads = (lo, hi), or the whole
-        window when they miss it."""
+        """The positions of the window inside reads = (lo, hi), or the
+        window's first position alone when they miss it: every position read
+        is then a non-member of any set on the window, as it is of one on
+        that position."""
         lo, hi = max(self.lo, reads[0]), min(self.hi, reads[1])
-        return Window(lo, hi) if lo <= hi else self
+        return Window(lo, hi) if lo <= hi else Window(self.lo, self.lo)
 
 
 class IntSet(Record):

@@ -272,10 +272,10 @@ def test_lift_box_evaluates_only_the_box_reach(capsys, tmp_path, monkeypatch):
     cert_windows = _recording_evaluate(monkeypatch, certificates)
     assert run(capsys, "verify", str(dest))[0] == 0
     assert cert_windows == [Window(a0, a0 + 9 + 2 * (d0 + 2))]
-    # a box whose reach misses the window evaluates the whole window
+    # a box whose reach misses the window evaluates its first position alone
     code, out, _ = run(capsys, "lift", "--set", text, "--window", "1:500", "--len", "2",
                        "--box", "600:700x1:2", "--r1", "1", "--r2", "1")
-    assert code == 1 and cli_windows[-1] == Window(1, 500)
+    assert code == 1 and cli_windows[-1] == Window(1, 1)
 
 
 def test_lift_box_and_verify_on_the_widest_window_take_under_a_second(capsys, tmp_path):
@@ -288,6 +288,14 @@ def test_lift_box_and_verify_on_the_widest_window_take_under_a_second(capsys, tm
         start = time.perf_counter()
         code, _, _ = run(capsys, *argv)
         assert code == 0 and time.perf_counter() - start < 1.0
+    # a forged a0 = 10**9 lies past the window's top: the sub-box's reach
+    # misses the window, so verify evaluates one position
+    cert = json.loads(dest.read_text())
+    dest.write_text(certificates.dumps_certificate(certificates.build_certificate(
+        "pws2d", cert["inputs"], cert["params"], dict(cert["witness"], a0=10 ** 9))))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(dest))
+    assert code == 4 and out.startswith("invalid") and time.perf_counter() - start < 1.0
 
 
 def test_set_file_parsed_once(capsys, tmp_path, monkeypatch):
@@ -675,3 +683,12 @@ def test_cli_import_path_skips_heavy_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
     assert proc.stdout.split() == []
+
+
+def test_package_import_loads_only_the_version():
+    # the package root re-exports nothing, so it imports no other submodule
+    src = Path(aplift.__file__).parents[1]
+    code = "import sys, aplift; print(*sorted(m for m in sys.modules if m.startswith('aplift')))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert proc.stdout.split() == ["aplift", "aplift._version"]

@@ -1,4 +1,4 @@
-"""Text serialization round-trips for sets, pair sets, families, and chains."""
+"""Text serialization round-trips for sets, families, and chains."""
 
 import pytest
 
@@ -7,15 +7,12 @@ from aplift.fileformats import (
     read_family,
     read_family2d,
     read_intset,
-    read_set2d,
     write_chain,
     write_family,
     write_family2d,
     write_intset,
-    write_set2d,
 )
 from aplift.jsets import FuncFamily, FuncFamily2D
-from aplift.lift import Box2D, lift
 from aplift.sets import Bernoulli, IntSet, Multiples, Window, evaluate
 from aplift.towers import KIND_C_SET, KIND_QUASI_CENTRAL, Chain
 
@@ -70,33 +67,15 @@ def test_intset_bitmap_roundtrip_widths(lo, width):
         assert read_intset(text) == A
 
 
-@pytest.mark.parametrize("row", ["1_0", "+10", "-10", "b10", "0b1", "10x1", "1 01"])
+@pytest.mark.parametrize("row", ["1_0", "+10", "-10", "b10", "0b1", "10x1"])
 def test_bitmap_row_rejects_stray_characters(row):
-    width = len(row)
     with pytest.raises(ValueError, match="invalid character"):
-        read_set2d(f"box 1 {width} 1 1\n{row}\n")
-    if " " not in row:  # the set reader splits on whitespace
-        with pytest.raises(ValueError, match="invalid character"):
-            read_intset(f"window 1 {width}\n{row}\n")
+        read_intset(f"window 1 {len(row)}\n{row}\n")
 
 
-def test_set2d_roundtrip_bit_exact():
-    A = evaluate(Bernoulli(0.55, 77), Window(1, 120))
-    box = Box2D(2, 50, 1, 16)
-    B = lift(A, 2, box)
-    C = read_set2d(write_set2d(B))
-    assert C.box == B.box
-    assert C.rows == B.rows
-
-
-def test_set2d_bad_shape():
-    with pytest.raises(ValueError):
-        read_set2d("box 1 4 1 2\n0000\n")  # d_width = 2 rows expected, got 1
-
-
-def test_set2d_header_keyword_exact():
-    with pytest.raises(ValueError, match="must start with: box"):
-        read_set2d("boxy 1 2 1 1\n11\n")
+def test_family_header_keyword_exact():
+    with pytest.raises(ValueError, match="must start with: family"):
+        read_family("familyx 1 2\n1 2\n")
 
 
 def test_family_roundtrip():
