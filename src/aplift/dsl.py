@@ -75,13 +75,13 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
-            if j < len(text) and text[j] == "." and j + 1 < len(text) and text[j + 1].isdigit():
+            if j < len(text) and text[j] == "." and j + 1 < len(text) and text[j + 1].isdecimal():
                 j += 1
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
             tokens.append(_Token("number", text[i:j], line, col))
             col += j - i

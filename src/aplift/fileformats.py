@@ -11,8 +11,8 @@ Family files: header ``family M T`` followed by M rows of T positive ints;
 ``family2d M T`` followed by 2M rows, alternating first/second table of each
 pair. Chain files: header ``chain K KIND`` followed by K bitmap set blocks.
 
-Writers emit the canonical form; reading back what was written reproduces
-the value bit-exactly.
+Writers emit the bitmap form for sets and the canonical form for the rest;
+reading back what was written reproduces the value bit-exactly.
 """
 
 from __future__ import annotations
@@ -65,15 +65,9 @@ def _header(text: str, what: str, usage: str, shape: str) -> tuple[list[str], li
     return head[1:], lines[1:]
 
 
-def write_intset(A: IntSet, form: str = "bitmap") -> str:
-    if form == "bitmap":
-        w = A.window
-        return f"window {w.lo} {w.hi}\n{_bitstring(A.bits, w.width)}\n"
-    if form == "elements":
-        if A.bits == 0:
-            raise ValueError("the element-list form cannot hold an empty set")
-        return " ".join(str(x) for x in A.members()) + "\n"
-    raise ValueError(f"unknown set form {form!r}")
+def write_intset(A: IntSet) -> str:
+    w = A.window
+    return f"window {w.lo} {w.hi}\n{_bitstring(A.bits, w.width)}\n"
 
 
 def read_intset(text: str) -> IntSet:

@@ -2,9 +2,10 @@
 
 A set is r-syndetic on an interval when every length-r block inside the
 interval meets it (gaps are bounded by r - 1). It is L-thick when it contains
-a full run of L consecutive elements. A piecewise-syndetic witness at (r, L)
-is a length-L interval on which the set is r-syndetic: bounded gaps over an
-arbitrarily long stretch, the finite shadow of "syndetic on a thick part".
+L consecutive elements, as ``longest_member_run`` tells for every L at once.
+A piecewise-syndetic witness at (r, L) is a length-L interval on which the
+set is r-syndetic: bounded gaps over an arbitrarily long stretch, the finite
+shadow of "syndetic on a thick part".
 Syndeticity in Z is the one-row case of its lift to pairs: ``is_syndetic_on``
 and ``find_pws_witness`` read A as {(x, 1) : x in A} and call ``lift``'s
 ``is_syndetic_2d`` and ``find_pws_witness_2d`` with r2 = L2 = 1.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from ._bitops import ap_starts, from_indices, longest_run, run_starts
+from ._bitops import ap_starts, from_indices, longest_run
 from ._record import Record
 from .lift import Box2D, Set2D, find_pws_witness_2d, is_syndetic_2d
 from .sets import IntSet
@@ -29,15 +30,6 @@ from .sets import IntSet
 BUDGET_ENV_VAR = "APLIFT_BUDGET"
 DEFAULT_VDW_BUDGET = 1 << 22
 EXHAUSTIVE_LIMIT = 1 << 20  # colorings; above this vdw_check backtracks
-
-
-def _interval_slice(A: IntSet, interval: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = interval
-    w = A.window
-    if not (w.lo <= lo <= hi <= w.hi):
-        raise ValueError(f"interval [{lo}, {hi}] not inside window [{w.lo}, {w.hi}]")
-    width = hi - lo + 1
-    return (A.bits >> (lo - w.lo)) & ((1 << width) - 1), width
 
 
 def _row(A: IntSet) -> Set2D:
@@ -53,19 +45,6 @@ def is_syndetic_on(A: IntSet, interval: tuple[int, int], r: int) -> bool:
     an r below 1, raises ValueError there.
     """
     return is_syndetic_2d(_row(A), Box2D(*interval, 1, 1), r, 1)
-
-
-def is_thick_on(A: IntSet, interval: tuple[int, int], L: int) -> bool:
-    """True iff A contains L consecutive elements inside the interval.
-
-    Existential, so an interval too short for any length-L run gives False.
-    """
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    bits, width = _interval_slice(A, interval)
-    if L > width:
-        return False
-    return run_starts(bits, L) != 0
 
 
 class PwsWitness(Record):

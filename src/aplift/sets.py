@@ -93,10 +93,6 @@ class IntSet(Record):
 
         return cls(window, from_indices(offsets(), window.width))
 
-    @classmethod
-    def full(cls, window: Window) -> "IntSet":
-        return cls(window, window.mask)
-
     def __repr__(self) -> str:
         return f"IntSet({self.window!r}, popcount={len(self)}, bits={hex_head(self.bits)})"
 
@@ -117,25 +113,9 @@ class IntSet(Record):
     def density(self) -> float:
         return self.bits.bit_count() / self.window.width
 
-    def _require_same_window(self, other: "IntSet") -> None:
-        if self.window != other.window:
-            raise ValueError("window mismatch")
-
-    def union(self, other: "IntSet") -> "IntSet":
-        self._require_same_window(other)
-        return IntSet(self.window, self.bits | other.bits)
-
-    def intersect(self, other: "IntSet") -> "IntSet":
-        self._require_same_window(other)
-        return IntSet(self.window, self.bits & other.bits)
-
     def complement(self) -> "IntSet":
         """Complement relative to the window."""
         return IntSet(self.window, self.window.mask ^ self.bits)
-
-    def is_subset_of(self, other: "IntSet") -> bool:
-        self._require_same_window(other)
-        return self.bits & ~other.bits == 0
 
 
 # --- set expressions -------------------------------------------------------
@@ -390,20 +370,3 @@ def evaluate(expr: SetExpr, w: Window) -> IntSet:
             return evaluate(child, w).complement()
     raise TypeError(f"not a set expression: {expr!r}")
 
-
-def shift_set(A: IntSet, x: int) -> IntSet:
-    """The translate -x + A = {y >= 1 : x + y in A} on its truncated window.
-
-    The result window is [max(1, lo - x), hi - x]. When hi - x < 1 the whole
-    translate leaves the positive integers and the explicit empty set on the
-    degenerate window [1, 1] is returned. x = 0 is the identity.
-    """
-    if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-        raise ValueError(f"shift amount must be a nonnegative integer, got {x!r}")
-    w = A.window
-    new_hi = w.hi - x
-    if new_hi < 1:
-        return IntSet(Window(1, 1), 0)
-    new_w = Window(max(1, w.lo - x), new_hi)
-    shift = new_w.lo + x - w.lo  # >= 0 because new_lo >= lo - x
-    return IntSet(new_w, (A.bits >> shift) & new_w.mask)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, certificate emission."""
 
+import ast
 import contextlib
 import json
 import os
@@ -7,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -692,3 +694,44 @@ def test_package_import_loads_only_the_version():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
     assert proc.stdout.split() == ["aplift", "aplift._version"]
+
+
+# definitions that only tests or planned work reach, each kept on purpose
+UNCALLED_KEPT = {
+    "_has_mono_ap": "oracle: the brute-force colouring check vdw_check is tested against",
+    "bernoulli_member": "oracle: the one-position draw the lane-packed builder is tested against",
+    "lift_chain": "builds the lifted chain in the (a, d) space that ROADMAP item 1 certifies",
+    "verify_lifted_translate": "checks each lifted translate of that chain for ROADMAP item 1",
+}
+
+
+def _names(node):
+    """Identifiers that a node refers to, as names, attributes or the parts
+    of a dotted string such as the ones the bench looks functions up by."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            parts = n.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                yield from parts
+
+
+def test_every_definition_has_a_caller():
+    # a module-level function or class that neither the package nor the
+    # bench names, outside its own body, is dead code that tests alone keep
+    root = Path(__file__).resolve().parents[1]
+    trees = {p: ast.parse(p.read_text()) for p in
+             sorted(root.glob("src/aplift/*.py")) + sorted(root.glob("bench/*.py"))}
+    used = Counter(name for tree in trees.values() for name in _names(tree))
+    uncalled = [
+        f"{path.name}:{node.name}"
+        for path, tree in trees.items() if path.parent.name == "aplift"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and used[node.name] == Counter(_names(node))[node.name]
+        and node.name not in UNCALLED_KEPT
+    ]
+    assert uncalled == []

@@ -32,6 +32,8 @@ def test_parse_simple_forms():
     # seed and shift amount may be 0; every other integer must be >= 1
     assert parse_dsl("bernoulli(0.25, 0)").expr == Bernoulli(0.25, 0)
     assert parse_dsl("shift(multiples(3), 0)").expr == Shift(Multiples(3), 0)
+    # a decimal digit of any script is one that int() reads
+    assert parse_dsl("multiples(\u0663)").expr == Multiples(3)
 
 
 def test_parse_nested():
@@ -81,6 +83,9 @@ PARSE_ERRORS = [
     ("complement(" * 101 + "multiples(2)" + ")" * 101, "forms nested deeper than 100", 1, 1101),
     ("thick(1 2)", "expected ':', got '2'", 1, 9),
     ("ap(1; 2)", "unexpected character ';'", 1, 5),
+    # superscript two is a digit to str.isdigit but not to int() or float()
+    ("multiples(\u00b2)", "unexpected character '\u00b2'", 1, 11),
+    ("bernoulli(0.\u00b25, 1)", "unexpected character '.'", 1, 12),
     ("union(multiples(2), )", "expected 'name', got ')'", 1, 21),
     ("union(\n  multiples(2),\n  ap(5))", "ap expects 2 arguments", 3, 3),
     ("", "expected 'name', got 'end of input'", 1, 1),

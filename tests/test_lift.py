@@ -19,7 +19,7 @@ from aplift.lift import (
     lift,
     verify_ap,
 )
-from aplift.sets import Bernoulli, IntSet, Multiples, Window, evaluate, ip_set, shift_set
+from aplift.sets import Bernoulli, IntSet, Multiples, Window, evaluate, ip_set
 
 
 def ap_brute(A, l):
@@ -174,7 +174,7 @@ def test_lift_cell_iff_verify():
 
 def test_lift_clips_out_of_window_tails():
     # pairs whose last term leaves the window never appear
-    A = IntSet.full(Window(1, 20))
+    A = IntSet(Window(1, 20), Window(1, 20).mask)
     B = lift(A, 2, Box2D(1, 20, 1, 15))
     assert all(a + 2 * d <= 20 for a, d in B.members())
     assert (18, 1) in B and (18, 2) not in B
@@ -222,7 +222,7 @@ def test_induced_box_no_clip():
 def test_shift_equivariance():
     # lifting a translate = translating the lift in the a coordinate
     A = evaluate(Multiples(3), Window(1, 90))
-    S = shift_set(A, 6)  # window [1, 84]
+    S = evaluate(Multiples(3), Window(1, 84))  # -6 + A
     box = Box2D(1, 30, 1, 10)
     lifted_shift = lift(S, 2, box)
     lifted = lift(A, 2, Box2D(7, 36, 1, 10))
@@ -260,6 +260,32 @@ def test_find_pws_witness_2d_sound(p, seed):
         pairs = set(B.members())
         assert synd2d_brute(pairs, sub, 2, 2)
         assert box.contains_box(sub)
+
+
+def pws2d_brute(pairs, box, r1, r2, L1, L2):
+    """First L1 x L2 sub-box in (d-origin, a-origin) order that is syndetic."""
+    for d0 in range(box.d_lo, box.d_hi - L2 + 2):
+        for a0 in range(box.a_lo, box.a_hi - L1 + 2):
+            sub = Box2D(a0, a0 + L1 - 1, d0, d0 + L2 - 1)
+            if synd2d_brute(pairs, sub, r1, r2):
+                return sub
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2 ** 32), st.floats(0.7, 0.99), st.integers(1, 2),
+       st.integers(1, 90), st.integers(1, 20), st.integers(1, 12), st.integers(1, 10), st.data())
+def test_find_pws_witness_2d_matches_brute(lo, seed, p, l, a_lo, d_lo, a_width, d_width, data):
+    # boxes below, across and past the top of the window [lo, lo + 59]; a
+    # block side one past the sub-box's fits no block, so the first sub-box
+    # is vacuously syndetic
+    A = evaluate(Bernoulli(p, seed), Window(lo, lo + 59))
+    box = Box2D(a_lo, a_lo + a_width - 1, d_lo, d_lo + d_width - 1)
+    L1, L2 = data.draw(st.integers(1, a_width)), data.draw(st.integers(1, d_width))
+    r1, r2 = data.draw(st.integers(1, L1 + 1)), data.draw(st.integers(1, L2 + 1))
+    B = lift(A, l, box)
+    expect = pws2d_brute(set(B.members()), box, r1, r2, L1, L2)
+    assert find_pws_witness_2d(B, r1, r2, L1, L2) == expect
 
 
 def test_find_pws_witness_2d_scans_d_then_a():
