@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
 from ._version import __version__
@@ -114,9 +115,12 @@ class MalformedPayload(CertificateError):
     pass
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def canonical_json(obj) -> str:
     try:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+        return _CANONICAL.encode(obj)
     except RecursionError:
         raise MalformedPayload("certificate is nested too deeply") from None
 
@@ -144,7 +148,26 @@ def build_certificate(kind: str, inputs: dict, params: dict, witness: dict) -> d
 
 
 def dumps_certificate(cert: dict) -> str:
-    return json.dumps(cert, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """``json.dumps(cert, sort_keys=True, indent=2, ensure_ascii=True) + "\\n"``
+    without json's pure-Python encoder; dict keys must be texts."""
+    return _indented(cert, "") + "\n"
+
+
+def _indented(v, pad: str) -> str:
+    # v as json.dumps(v, sort_keys=True, indent=2) writes it, later lines led by pad
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if type(v) is int:
+        return str(v)
+    if isinstance(v, dict) and v:
+        inner = pad + "  "
+        items = [f"{encode_basestring_ascii(k)}: {_indented(v[k], inner)}" for k in sorted(v)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(v, (list, tuple)) and v:
+        inner = pad + "  "
+        items = map(str, v) if all(type(x) is int for x in v) else [_indented(x, inner) for x in v]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return _CANONICAL.encode(v)  # a bool, null, float, {} or []
 
 
 # --- input descriptors -------------------------------------------------------

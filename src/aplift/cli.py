@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 from typing import Callable, Optional
 
 from . import certificates as certs
@@ -77,7 +76,7 @@ def _load_set(args) -> tuple[IntSet, Callable[[], dict]]:
     if args.set_file:
         if args.set or args.window:
             raise ValueError("--set-file takes neither --set nor --window")
-        text = Path(args.set_file).read_text()
+        text = _read(args.set_file)
         A = read_intset(text)
         return A, lambda: certs.inputs_for_set(A)
     if not args.set:
@@ -91,6 +90,11 @@ def _load_set(args) -> tuple[IntSet, Callable[[], dict]]:
     else:
         A = evaluate(program.expr, window)
     return A, lambda: certs.inputs_for_expr(program.expr, window)
+
+
+def _read(path: str) -> str:
+    with open(path) as f:
+        return f.read()
 
 
 def _braces(values) -> str:
@@ -166,7 +170,7 @@ def _cmd_lift(args, A: IntSet) -> Finding:
 
 
 def _cmd_jset(args, A: IntSet) -> Finding:
-    F = read_family(Path(args.family).read_text())
+    F = read_family(_read(args.family))
     wit = jset_witness(A, F, args.a_max)
     if wit is None:
         return EXIT_NEGATIVE, [f"no witness with base a <= {args.a_max}"], None
@@ -175,7 +179,7 @@ def _cmd_jset(args, A: IntSet) -> Finding:
 
 
 def _cmd_transfer(args, A: IntSet) -> Finding:
-    F2D = read_family2d(Path(args.family2d).read_text())
+    F2D = read_family2d(_read(args.family2d))
     wit = transfer_witness(A, F2D, args.b, args.len, args.a_max)
     if wit is None:
         return EXIT_NEGATIVE, [f"no witness with base a <= {args.a_max}"], None
@@ -186,7 +190,7 @@ def _cmd_transfer(args, A: IntSet) -> Finding:
 
 
 def _cmd_tower(args, _: None) -> Finding:
-    chain = read_chain(Path(args.chain).read_text())
+    chain = read_chain(_read(args.chain))
     if chain.kind == KIND_QUASI_CENTRAL:
         if args.r is None or args.L is None or args.family:
             raise ValueError("quasi-central chains take --r and --L, and no --family")
@@ -194,7 +198,7 @@ def _cmd_tower(args, _: None) -> Finding:
     else:
         if args.r is not None or args.L is not None:
             raise ValueError("c-set chains take --family and --a-max, and no --r or --L")
-        families = [read_family(Path(p).read_text()) for p in args.family or []]
+        families = [read_family(_read(p)) for p in args.family or []]
         report = check_cset(chain, families, args.a_max, args.x_max)
     failed = [p for p in report.probes if p.found_level is None]
     lines = [
@@ -242,7 +246,7 @@ def _cmd_vdw(args, _: None) -> Finding:
 
 def _cmd_verify(args, _: None) -> Finding:
     try:
-        cert = json.loads(Path(args.certificate).read_text())
+        cert = json.loads(_read(args.certificate))
     except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested to parse
         return EXIT_BAD_CERT, [f"not a certificate: {e}"], None
     try:
@@ -260,9 +264,9 @@ _CERT_KINDS = {"analyze": "pws", "ap": "ap", "lift": "pws2d", "jset": "jset",
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process: parse_args keeps its results in a fresh
-    # Namespace per call and leaves the parser unchanged.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # The parser and each command's subparser by name, built once per process:
+    # parse_args keeps its results in a fresh Namespace and leaves them unchanged.
     parser = argparse.ArgumentParser(
         prog="aplift",
         description="largeness detectors and progression-lift witnesses on integer windows",
@@ -336,7 +340,22 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, kind in _CERT_KINDS.items():
         article = "an" if kind[0] in "aeiou" else "a"
         sub.choices[name].add_argument("--out", help=f"write {article} {kind} certificate here")
-    return parser
+    return parser, dict(sub.choices)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parser's ``parse_args(argv)`` in one pass: when argv[0] names a
+    command, its subparser alone reads the rest, and what it leaves over is
+    refused by the top-level parser, as the subparsers action would."""
+    parser, commands = _build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def _run(args) -> int:
@@ -351,7 +370,8 @@ def _run(args) -> int:
             cert = certs.chain_certificate(**values)
         else:
             cert = certs.certify(kind, set_inputs(), **values)
-        Path(args.out).write_text(certs.dumps_certificate(cert))
+        with open(args.out, "w") as f:
+            f.write(certs.dumps_certificate(cert))
         lines.append(f"certificate written to {args.out}")
     for line in lines:
         print(line)
@@ -359,9 +379,8 @@ def _run(args) -> int:
 
 
 def run_command(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

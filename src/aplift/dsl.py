@@ -79,8 +79,11 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < len(text) and text[j].isdecimal():
                 j += 1
-            if j < len(text) and text[j] == "." and j + 1 < len(text) and text[j + 1].isdecimal():
+            if j < len(text) and text[j] == ".":
                 j += 1
+                if j == len(text) or not text[j].isdecimal():
+                    what = text[j] if j < len(text) else "end of input"
+                    raise DslError(f"expected a digit after '.', got {what!r}", line, col + j - i)
                 while j < len(text) and text[j].isdecimal():
                     j += 1
             tokens.append(_Token("number", text[i:j], line, col))

@@ -17,6 +17,7 @@ reading back what was written reproduces the value bit-exactly.
 
 from __future__ import annotations
 
+from ._bitops import from_indices
 from .jsets import FuncFamily, FuncFamily2D
 from .sets import IntSet, Window
 from .towers import Chain
@@ -86,7 +87,8 @@ def read_intset(text: str) -> IntSet:
         xs = _int_fields(tokens, "set elements")
     if min(xs) < 1:
         raise ValueError("set elements must be positive")
-    return IntSet.from_members(Window(1, max(xs)), xs)
+    w = Window(1, max(xs))
+    return IntSet(w, from_indices(xs, w.hi + 1) >> 1)
 
 
 def write_family(F: FuncFamily) -> str:

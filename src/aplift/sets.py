@@ -302,7 +302,8 @@ _PASSES = tuple((_LANE_STEPS + ((c * _GOLDEN64) & _MASK64) * _ONES) & _LANE_MASK
 def _bernoulli_bits(p: float, seed: int, w: Window) -> int:
     # a window narrower than one block runs only the lanes it covers
     ones = _ONES & ((1 << 128 * -(-w.width // 8)) - 1)
-    passes = [step & ones * _MASK64 for step in _PASSES]
+    lanes = ones * _MASK64
+    passes = [step & lanes for step in _PASSES]
     # after adding 2^64 - threshold, bit 64 of a lane is set iff mix >= threshold
     bump = ((1 << 64) - _threshold(p)) * ones
     state = ((seed + w.lo * _GOLDEN64) & _MASK64) * ones

@@ -7,6 +7,7 @@ import re
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _mutate import all_mutations, leaf_paths
 from aplift.certificates import (
@@ -357,6 +358,34 @@ def test_certificate_bytes_pinned(builder):
             if k not in ("created", "tool_version", "digest", "input_digest")}
     text = json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
     assert hashlib.sha256(text.encode("ascii")).hexdigest()[:16] == PINNED_BODIES[builder.__name__]
+
+
+def json_indented(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+@pytest.mark.parametrize("builder", ALL_BUILDERS)
+def test_certificate_text_is_json_dumps(builder):
+    cert = builder()
+    assert dumps_certificate(cert) == json_indented(cert)
+
+
+# texts with non-ASCII, quotes, backslashes and control characters
+_TEXTS = st.text(st.sampled_from('aZ0 "\\/\x00\x1f\x7f\n\té\u2028\U0001f600'), max_size=6) | st.text(
+    max_size=4
+)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-2**300, 2**300) | _TEXTS
+_JSON = st.recursive(
+    _SCALARS | st.lists(st.integers(-2**100, 2**100), max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXTS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_certificate_text_matches_json_dumps_on_any_value(value):
+    assert dumps_certificate(value) == json_indented(value)
 
 
 def rejected(cert) -> bool:

@@ -677,6 +677,63 @@ def test_window_and_box_ceiling_verify_exit_four(capsys, tmp_path, kind, inputs,
     assert elapsed < 1.0
 
 
+# argvs through each branch of the parse: help and version, unknown
+# commands and options, missing and bad values, abbreviations, "--" and
+# extra positionals
+ARGV_CORPUS = [
+    [],
+    ["-h"],
+    ["--version"],
+    ["--ver"],
+    ["frobnicate", "--n", "8"],
+    ["vd", "--n", "8"],
+    ["--bogus", "vdw"],
+    ["vdw", "--n", "8", "--colors", "2", "--len", "3"],
+    ["vdw", "--n", "8", "--colors", "2", "--len", "3", "--bogus"],
+    ["vdw", "--n", "8", "--colors", "2", "--len", "3", "extra", "--more"],
+    ["vdw", "--n", "8", "--colors", "2"],
+    ["vdw", "--n", "eight", "--colors", "2", "--len", "3"],
+    ["vdw", "--n"],
+    ["vdw", "--co", "2", "--n", "8", "--le", "3", "--bu", "5"],
+    ["vdw", "--version"],
+    ["vdw", "--n", "8", "--colors", "2", "--len", "3", "--", "--n", "9"],
+    ["verify", "a.json", "b.json"],
+    ["verify"],
+    ["verify", "--", "-a.json"],
+    ["ap", "--set=multiples(2)", "--window=1:10", "--len", "1", "stray"],
+    ["lift", "--len", "2", "--r1", "1", "--r2", "1", "--L", "3"],
+    ["tower", "--chain", "c.txt", "--probe", "1", "2"],
+    ["tower", "--chain", "c.txt", "--family", "a", "--family", "b", "--x-max", "-3"],
+]
+
+
+def parsed(parse, argv, capsys):
+    """The Namespace, or the exit code, stdout and stderr of the refusal."""
+    try:
+        return parse(argv)
+    except SystemExit as e:
+        out = capsys.readouterr()
+        return e.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+def test_routed_parse_matches_the_full_parse(capsys, argv):
+    full = parsed(cli._build_parser()[0].parse_args, argv, capsys)
+    assert parsed(cli._parse, argv, capsys) == full
+
+
+@pytest.mark.parametrize("command", [None, *cli._CERT_KINDS, "verify"])
+def test_help_text_is_the_full_parse_help(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == parsed(cli._build_parser()[0].parse_args, argv, capsys)
+    assert code == 0 and out.startswith("usage: aplift " + (command + " " if command else ""))
+
+
+def test_version_text(capsys):
+    assert run(capsys, "--version") == (0, f"aplift {aplift.__version__}\n", "")
+
+
 def test_cli_import_path_skips_heavy_modules():
     # -S keeps site's .pth files, and what they import, out of the check
     src = Path(aplift.__file__).parents[1]

@@ -85,7 +85,10 @@ PARSE_ERRORS = [
     ("ap(1; 2)", "unexpected character ';'", 1, 5),
     # superscript two is a digit to str.isdigit but not to int() or float()
     ("multiples(\u00b2)", "unexpected character '\u00b2'", 1, 11),
-    ("bernoulli(0.\u00b25, 1)", "unexpected character '.'", 1, 12),
+    ("bernoulli(0.\u00b25, 1)", "expected a digit after '.', got '\u00b2'", 1, 13),
+    ("ap(1., 2)", "expected a digit after '.', got ','", 1, 6),
+    ("bernoulli(0.", "expected a digit after '.', got 'end of input'", 1, 13),
+    ("ap(.5, 2)", "unexpected character '.'", 1, 4),
     ("union(multiples(2), )", "expected 'name', got ')'", 1, 21),
     ("union(\n  multiples(2),\n  ap(5))", "ap expects 2 arguments", 3, 3),
     ("", "expected 'name', got 'end of input'", 1, 1),
