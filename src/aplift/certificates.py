@@ -12,14 +12,15 @@ no floating-point values, identical bytes for identical runs apart from
 The table ``_CLAIMS`` is the single source of the certificate kinds (README
 lists them): each kind's row names its input keys, its parameter and witness
 fields, its truncation notes and the verifier that re-checks it, which lives
-beside the kind's search, and for ``ap``, ``pws`` and ``pws2d`` the positions
-of the set that the verifier reads. ``_FIELDS`` holds each field's JSON
+beside the kind's search, and for a kind with a set the positions of the set
+that the verifier reads. ``_FIELDS`` holds each field's JSON
 shape, its encoder and its decoder, so a field is written beside where it
 is read: ``certify`` places a kind's values by its row and writes each one
 through its field, and ``verify_certificate`` decodes each one back. This
 module holds no semantic check of its own. Only the evidence that a chain's kind
 adds is written and read by hand, by ``chain_certificate`` and
-``_chain_report``.
+``_chain_report``. A certificate that cannot be checked (a failed digest, an
+unknown kind, a malformed payload) raises the one ``CertificateError``.
 
 One asymmetry is deliberate: a "vdw" certificate whose verdict is "false"
 carries the counterexample coloring and is re-checked independently, while a
@@ -47,7 +48,7 @@ from .fileformats import (
     write_family2d,
     write_intset,
 )
-from .jsets import JWitness, verify_jwitness, verify_transfer_witness
+from .jsets import JWitness, jset_reads, transfer_reads, verify_jwitness, verify_transfer_witness
 from .largeness import PwsWitness, verify_pws_claim, verify_vdw_claim
 from .lift import Box2D, reach, verify_ap, verify_pws2d_claim
 from .sets import IntSet, SetExpr, Window, evaluate
@@ -63,8 +64,8 @@ class _Claim(NamedTuple):
     truncation: tuple[str, ...]
     verify: Callable[..., bool]  # takes the decoded fields in row order
     recorded: tuple[str, ...] = ()  # witness fields written for the reader only
-    # from the decoded params and witness, the positions (lo, hi) of the set
-    # that the verifier reads; None reads the whole window
+    # for a kind with a set: from its other fields, decoded in row order, the
+    # positions (lo, hi) of the set that the verifier reads
     reads: Optional[Callable[..., tuple[int, int]]] = None
 
 
@@ -84,10 +85,10 @@ _CLAIMS = {
         ("set",), ("l", "box", "r1", "r2", "L1", "L2"), ("a0", "d0"), (_CLIPPED,), verify_pws2d_claim,
         reads=lambda l, box, r1, r2, L1, L2, a0, d0: reach(l, Box2D(a0, a0 + L1 - 1, d0, d0 + L2 - 1)),
     ),
-    "jset": _Claim(("set", "family"), ("a_max",), ("a", "H"), (_SUMS,), verify_jwitness),
+    "jset": _Claim(("set", "family"), ("a_max",), ("a", "H"), (_SUMS,), verify_jwitness, reads=jset_reads),
     "jset2d": _Claim(
         ("set", "family2d"), ("b", "l", "a_max"), ("a1", "a2", "H"), (_SUMS, _CLIPPED),
-        verify_transfer_witness,
+        verify_transfer_witness, reads=transfer_reads,
     ),
     # the chain's kind adds r and L, or families and a_max, and shapes the
     # levels; _chain_report turns them into the report the verifier takes
@@ -100,19 +101,8 @@ _CLAIMS = {
 
 
 class CertificateError(Exception):
-    pass
-
-
-class DigestMismatch(CertificateError):
-    pass
-
-
-class UnknownKind(CertificateError):
-    pass
-
-
-class MalformedPayload(CertificateError):
-    pass
+    """A certificate that cannot be checked: a failed digest, an unknown
+    kind or a malformed payload; the message says which."""
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
@@ -122,7 +112,7 @@ def canonical_json(obj) -> str:
     try:
         return _CANONICAL.encode(obj)
     except RecursionError:
-        raise MalformedPayload("certificate is nested too deeply") from None
+        raise CertificateError("certificate is nested too deeply") from None
 
 
 def _sha(text: str) -> str:
@@ -245,17 +235,17 @@ _FIELDS = {
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
-        raise MalformedPayload(msg)
+        raise CertificateError(msg)
 
 
 def _field(section: dict, name: str, reads: Optional[tuple[int, int]] = None):
     """Decode one field by its name; a shape the name does not accept is malformed.
-    An expression set is evaluated only on the part of its window in ``reads``."""
+    The set needs ``reads``: an expression is evaluated only on the part of
+    its window there."""
     _require(isinstance(section, dict), f"the evidence holding {name} must be an object")
     if name == "set":
         if "expr" in section:
-            expr, window = _field(section, "expr"), _field(section, "window")
-            return evaluate(expr, window if reads is None else window.clip(reads))
+            return evaluate(_field(section, "expr"), _field(section, "window").clip(reads))
         _require("set_text" in section, "inputs carry neither an expression nor a set text")
         return _field(section, "set_text")
     field = _FIELDS[name]
@@ -332,7 +322,7 @@ def _chain_report(
     re-checks; the chain's kind says which fields its level evidence needs."""
     if chain.kind == KIND_QUASI_CENTRAL:
         r, L = _field(params, "r"), _field(params, "L")
-        pws = tuple(PwsWitness(r, _field(ev, "pws_start"), L) for ev in levels)
+        pws = tuple(PwsWitness(_field(ev, "pws_start")) for ev in levels)
         return ChainReport(chain.kind, x_max, translate, r=r, L=L, pws_witnesses=pws)
     jset = tuple(
         tuple(JWitness(_field(w, "a"), _field(w, "H")) for w in _field(ev, "jset")) for ev in levels
@@ -347,32 +337,33 @@ def verify_certificate(cert: dict) -> bool:
     """Re-check a certificate against the inputs it embeds. Returns the
     semantic verdict of the witness.
 
-    Raises DigestMismatch when either digest fails (the embedded inputs must
-    hash to the recorded input digest), UnknownKind for an unrecognized
-    kind, MalformedPayload for structural defects.
+    Raises CertificateError when either digest fails (the embedded inputs
+    must hash to the recorded input digest), for an unrecognized kind and
+    for structural defects; the message says which.
 
-    The params and the witness are decoded before the set. For the kinds
-    whose row names ``reads`` (``ap``, ``pws``, ``pws2d``), an expression
-    set is then evaluated only on the window positions the witness reads,
-    so the check costs in proportion to the witness, not to the window; a
-    witness that reads no position of the window gets the window's first
-    position alone. Every generator and combinator is pointwise, so those
-    positions hold what they hold on the whole window.
+    Every field but the set is decoded first, the family included. An
+    expression set is then evaluated only on the window positions that its
+    row's ``reads`` names (the progression of ``ap``, the interval of
+    ``pws``, the sub-box's reach for ``pws2d``, the sums over H for ``jset``
+    and the progressions from them for ``jset2d``), so the check costs in
+    proportion to the witness, not to the window; a witness that reads no
+    position of the window gets the window's first position alone. Every
+    generator and combinator is pointwise, so those positions hold what
+    they hold on the whole window.
     """
     _require(isinstance(cert, dict), "certificate must be an object")
     for key in ("schema", "kind", "inputs", "params", "witness", "digest", "input_digest"):
         _require(key in cert, f"missing field {key!r}")
     _require(cert["schema"] == SCHEMA, f"unsupported schema {cert.get('schema')!r}")
     kind = cert["kind"]
-    if kind not in _CLAIMS:
-        raise UnknownKind(f"unknown certificate kind {kind!r}")
+    _require(kind in _CLAIMS, f"unknown certificate kind {kind!r}")
 
     body = {k: v for k, v in cert.items() if k not in ("digest", "created")}
     if _sha(canonical_json(body)) != cert["digest"]:
-        raise DigestMismatch("certificate digest does not match its content")
+        raise CertificateError("certificate digest does not match its content")
     inputs = cert["inputs"]
     if _sha(canonical_json(inputs)) != cert["input_digest"]:
-        raise DigestMismatch("inputs do not match the recorded input digest")
+        raise CertificateError("inputs do not match the recorded input digest")
 
     _require(isinstance(inputs, dict), "inputs must be an object")
     params, witness = cert["params"], cert["witness"]
@@ -380,11 +371,11 @@ def verify_certificate(cert: dict) -> bool:
     _require(isinstance(witness, dict), "witness must be an object")
     claim = _CLAIMS[kind]
     try:
-        # params and witness come first: they bound the positions the claim reads
-        fields = ((params, claim.params), (witness, claim.witness))
-        values = [_field(section, name) for section, names in fields for name in names]
-        reads = claim.reads(*values) if claim.reads else None
-        args = [_field(inputs, name, reads) for name in claim.inputs] + values
+        # every field but the set comes first: they bound the positions it reads
+        fields = ((inputs, claim.inputs), (params, claim.params), (witness, claim.witness))
+        args = [_field(section, name) for section, names in fields for name in names if name != "set"]
+        if "set" in claim.inputs:  # the first input of its row
+            args.insert(0, _field(inputs, "set", claim.reads(*args)))
         if kind == "chain":
             args = [args[0], _chain_report(*args, inputs, params)]
         return claim.verify(*args)

@@ -130,7 +130,7 @@ def _cmd_analyze(args, A: IntSet) -> Finding:
     if wit is None:
         lines.append(f"no length-{args.L} interval is {args.r}-syndetic")
         return EXIT_NEGATIVE, lines, None
-    lines.append(f"witness interval [{wit.interval[0]}, {wit.interval[1]}] r={args.r}")
+    lines.append(f"witness interval [{wit.start}, {wit.start + args.L - 1}] r={args.r}")
     return EXIT_OK, lines, dict(r=args.r, L=args.L, start=wit.start)
 
 
@@ -211,7 +211,7 @@ def _cmd_tower(args, _: None) -> Finding:
         if wit is None:
             lines.append(f"  level {i}: no (r={args.r}, L={args.L}) witness")
         else:
-            lines.append(f"  level {i}: witness interval [{wit.interval[0]}, {wit.interval[1]}]")
+            lines.append(f"  level {i}: witness interval [{wit.start}, {wit.start + args.L - 1}]")
     for i, per_level in enumerate(report.jset_witnesses or (), start=1):
         for j, wit in enumerate(per_level, start=1):
             if wit is None:
@@ -245,9 +245,12 @@ def _cmd_vdw(args, _: None) -> Finding:
 
 
 def _cmd_verify(args, _: None) -> Finding:
+    text = _read(args.certificate)
+    # ValueError covers JSONDecodeError and, from Python 3.11, a number of
+    # more than 4,300 digits; RecursionError is JSON nested too deeply
     try:
-        cert = json.loads(_read(args.certificate))
-    except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested to parse
+        cert = json.loads(text)
+    except (ValueError, RecursionError) as e:
         return EXIT_BAD_CERT, [f"not a certificate: {e}"], None
     try:
         ok = certs.verify_certificate(cert)

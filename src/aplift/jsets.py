@@ -136,9 +136,11 @@ def _difference_rows(A: IntSet, F: FuncFamily, keep: list[int]) -> tuple[int, li
 
 
 # The interpreter work charged to one scanned subset (its table sums, the base
-# mask) in bits touched as ``_bitops`` counts them: about 2 us, against 0.45 us
-# measured for a two-table subset on CPython 3.11 on x86-64, so the filter is
-# built early. Each subset also shifts A's W-bit map at least once.
+# mask) in bits touched as ``_bitops`` counts them. It is about 4x what a
+# two-table subset costs (0.45 us on CPython 3.11 on x86-64), and that is what
+# builds the size filter early enough to pay on misses: on the jset, transfer
+# and c-set tower ops of the benchmark, 2^13 made misses and late hits slower,
+# and 2^17 early hits. Each subset also shifts A's W-bit map at least once.
 _SUBSET_BITS = 1 << 15
 
 
@@ -256,6 +258,13 @@ def verify_jwitness(A: IntSet, F: FuncFamily, a_max: int, a: int, H: tuple[int, 
     )
 
 
+def jset_reads(F: FuncFamily, a_max: int, a: int, H: tuple[int, ...]) -> tuple[int, int]:
+    """The positions ``verify_jwitness`` reads: from a plus the least table
+    sum over H to a plus the greatest."""
+    sums = [_table_sum(tab, H) for tab in F.tables]
+    return a + min(sums), a + max(sums)
+
+
 def build_transfer_family(F2D: FuncFamily2D, b: int, l: int) -> FuncFamily:
     """Derived family with one table per (pair i, multiplier j).
 
@@ -291,6 +300,17 @@ def verify_transfer_witness(
             for first, second in F2D.pairs
         )
     )
+
+
+def transfer_reads(
+    F2D: FuncFamily2D, b: int, l: int, a_max: int, a1: int, a2: int, H: tuple[int, ...]
+) -> tuple[int, int]:
+    """The positions ``verify_transfer_witness`` reads: from a1 plus the
+    least first-table sum over H to the greatest last term
+    a1 + S1(H) + l*(a2 + S2(H)) of the pairs' progressions."""
+    lo = min(_table_sum(first, H) for first, _ in F2D.pairs)
+    hi = max(_table_sum(first, H) + l * (a2 + _table_sum(second, H)) for first, second in F2D.pairs)
+    return a1 + lo, a1 + hi
 
 
 def transfer_witness(

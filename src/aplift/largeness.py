@@ -48,19 +48,10 @@ def is_syndetic_on(A: IntSet, interval: tuple[int, int], r: int) -> bool:
 
 
 class PwsWitness(Record):
-    """A length-`length` interval starting at `start` on which A is r-syndetic."""
+    """The start of a length-L interval on which A is r-syndetic, for the
+    (r, L) that its search was given."""
 
-    r: int
     start: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.r < 1 or self.start < 1 or self.length < 1:
-            raise ValueError("witness fields must be positive")
-
-    @property
-    def interval(self) -> tuple[int, int]:
-        return (self.start, self.start + self.length - 1)
 
 
 def find_pws_witness(A: IntSet, r: int, L: int) -> Optional[PwsWitness]:
@@ -74,7 +65,7 @@ def find_pws_witness(A: IntSet, r: int, L: int) -> Optional[PwsWitness]:
     if L > A.window.width:
         return None  # no length-L interval fits in the window at all
     sub = find_pws_witness_2d(_row(A), r, 1, L, 1)
-    return None if sub is None else PwsWitness(r, sub.a_lo, L)
+    return None if sub is None else PwsWitness(sub.a_lo)
 
 
 def verify_pws_claim(A: IntSet, r: int, L: int, start: int) -> bool:

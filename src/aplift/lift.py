@@ -100,11 +100,6 @@ class Set2D(Record):
             for i in iter_bit_indices(row):
                 yield (self.box.a_lo + i, d)
 
-    def is_subset_of(self, other: "Set2D") -> bool:
-        if self.box != other.box:
-            raise ValueError("box mismatch")
-        return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
-
 
 def verify_ap(A: IntSet, l: int, a: int, d: int) -> bool:
     """The ``ap`` claim: A holds a, a+d, ..., a+l*d (terms beyond the window

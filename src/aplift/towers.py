@@ -61,31 +61,6 @@ class Chain(Record):
         return len(self.levels)
 
 
-class Chain2D(Record):
-    """Levelwise lift of a chain; empty lifted levels are allowed."""
-
-    levels: tuple[Set2D, ...]
-    l: int
-
-    def __post_init__(self) -> None:
-        if not self.levels:
-            raise ValueError("chain needs at least one level")
-        box = self.levels[0].box
-        for i, level in enumerate(self.levels):
-            if level.box != box:
-                raise ValueError("levels must share one box")
-            if i and not level.is_subset_of(self.levels[i - 1]):
-                raise ValueError(f"level {i + 1} is not contained in level {i}")
-
-    @property
-    def box(self) -> Box2D:
-        return self.levels[0].box
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-
 class TranslateProbe(Record):
     """Outcome for one probed member x of level n."""
 
@@ -216,8 +191,7 @@ def verify_chain_report(chain: Chain, report: ChainReport) -> bool:
         return False
     if report.kind == KIND_QUASI_CENTRAL:
         return len(report.pws_witnesses) == chain.depth and all(
-            (w.r, w.length) == (report.r, report.L)
-            and verify_pws_claim(level, w.r, w.length, w.start)
+            verify_pws_claim(level, report.r, report.L, w.start)
             for level, w in zip(chain.levels, report.pws_witnesses)
         )
     fams = report.families
@@ -228,9 +202,10 @@ def verify_chain_report(chain: Chain, report: ChainReport) -> bool:
     )
 
 
-def lift_chain(chain: Chain, l: int, box: Box2D) -> Chain2D:
-    """Lift every level; inclusion is preserved, empty levels are fine."""
-    return Chain2D(tuple(lift(level, l, box) for level in chain.levels), l)
+def lift_chain(chain: Chain, l: int, box: Box2D) -> tuple[Set2D, ...]:
+    """Every level lifted over the one box. ``lift`` is monotone in the set,
+    so the lifted levels decrease as the chain does; some may be empty."""
+    return tuple(lift(level, l, box) for level in chain.levels)
 
 
 def ap_translate_level_search(
@@ -259,19 +234,20 @@ def ap_translate_level_search(
 
 
 def verify_lifted_translate(
-    chain2d: Chain2D, n: int, N: int, a: int, b: int
+    levels: tuple[Set2D, ...], n: int, N: int, a: int, b: int
 ) -> bool:
-    """Every member (a1, b1) of B_N whose translate (a1+a, b1+b) stays inside
-    the box must land in B_n. Members whose translate leaves the box are out
-    of scope; an empty B_N passes vacuously.
+    """On the levels ``lift_chain`` returns, every member (a1, b1) of B_N
+    whose translate (a1+a, b1+b) stays inside the box must land in B_n.
+    Members whose translate leaves the box are out of scope; an empty B_N
+    passes vacuously.
     """
-    if not 1 <= n <= N <= chain2d.depth:
+    if not 1 <= n <= N <= len(levels):
         raise ValueError("need 1 <= n <= N <= depth")
     if a < 1 or b < 1:
         raise ValueError("a and b must be >= 1")
-    BN = chain2d.levels[N - 1]
-    Bn = chain2d.levels[n - 1]
-    box = chain2d.box
+    BN = levels[N - 1]
+    Bn = levels[n - 1]
+    box = BN.box
     if box.a_hi - a < box.a_lo:
         return True  # every translate leaves the box on the a axis
     amask = (1 << (box.a_hi - a - box.a_lo + 1)) - 1

@@ -300,6 +300,27 @@ def test_lift_box_and_verify_on_the_widest_window_take_under_a_second(capsys, tm
     assert code == 4 and out.startswith("invalid") and time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("argv, family", [
+    (["jset", "--family"], "family 2 3\n1 2 3\n2 3 4\n"),
+    (["transfer", "--b", "1", "--len", "2", "--family2d"], "family2d 1 2\n1 2\n1 1\n"),
+], ids=["jset", "transfer"])
+def test_verify_jset_kinds_on_the_widest_window_take_under_a_second(capsys, tmp_path, argv, family):
+    # a witness found on 1,000 positions, its window widened to 2^27 with
+    # both digests recomputed: verify evaluates only the sums over H and the
+    # progressions from them, not the 2^27 positions it took 9 to 10 s to build
+    path, dest = tmp_path / "family.txt", tmp_path / "cert.json"
+    path.write_text(family)
+    code, _, _ = run(capsys, *argv, str(path), "--set", "bernoulli(0.5, 7)", "--window", "1:1000",
+                     "--a-max", "10", "--out", str(dest))
+    assert code == 0
+    cert = json.loads(dest.read_text())
+    dest.write_text(certificates.dumps_certificate(certificates.build_certificate(
+        cert["kind"], dict(cert["inputs"], window=[1, 1 << 27]), cert["params"], cert["witness"])))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(dest))
+    assert code == 0 and out.startswith("valid") and time.perf_counter() - start < 1.0
+
+
 def test_set_file_parsed_once(capsys, tmp_path, monkeypatch):
     calls = []
 
@@ -625,6 +646,19 @@ def test_verify_deeply_nested_json_exit_four(capsys, tmp_path):
     dest.write_text("[" * 100_000 + "]" * 100_000)
     code, out, err = run(capsys, "verify", str(dest))
     assert code == 4 and out.startswith("not a certificate: ") and not err
+
+
+def test_verify_number_of_more_than_4300_digits_exit_four(capsys, tmp_path):
+    # from Python 3.11 json.loads refuses such a number with a plain
+    # ValueError; before 3.11 it parses, and the digest no longer matches
+    dest = tmp_path / "ap.json"
+    code, _, _ = run(capsys, "ap", "--set", "multiples(2)", "--window", "1:100", "--len", "3",
+                     "--out", str(dest))
+    text = dest.read_text()
+    assert code == 0 and text.count('"a": 2,') == 1
+    dest.write_text(text.replace('"a": 2,', '"a": 1' + "0" * 4999 + ","))
+    code, out, err = run(capsys, "verify", str(dest))
+    assert code == 4 and out.startswith(("not a certificate: ", "invalid: ")) and not err
 
 
 _WIDE = 10 ** 10

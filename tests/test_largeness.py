@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from aplift._bitops import longest_run
 from aplift.largeness import (
     EXHAUSTIVE_LIMIT,
+    PwsWitness,
     VdwResult,
     _has_mono_ap,
     find_pws_witness,
@@ -129,7 +130,7 @@ def test_pws_witness_frozen():
     # brute oracle: evens on [1,100] are 2-syndetic everywhere, first start 1
     evens = evaluate(Multiples(2), Window(1, 100))
     wit = find_pws_witness(evens, 2, 50)
-    assert wit is not None and wit.start == 1 and wit.interval == (1, 50)
+    assert wit == PwsWitness(1)
 
     # brute oracle: first solid 21-run of interval(40,60) | multiples(7) starts at 40
     mix = evaluate(Union((Interval(40, 60), Multiples(7))), Window(1, 100))
@@ -141,7 +142,7 @@ def test_pws_witness_frozen():
 def test_pws_witness_vacuous_r_exceeds_L():
     A = IntSet(Window(1, 30), 0)
     wit = find_pws_witness(A, 5, 3)
-    assert wit is not None and wit.start == 1 and wit.length == 3
+    assert wit == PwsWitness(1)
 
 
 def test_pws_witness_none_when_window_short():
@@ -183,7 +184,7 @@ def test_pws_witness_matches_brute(lo, width, offsets, r, L):
     if wit is None:
         assert first is None
     else:
-        assert (wit.r, wit.start, wit.length) == (r, first, L)
+        assert wit == PwsWitness(first)
 
 
 def test_vdw_frozen_true_false():

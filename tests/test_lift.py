@@ -206,7 +206,7 @@ def test_lift_antitone_in_depth():
     box = Box2D(1, 40, 1, 10)
     shallow = lift(A, 1, box)
     deep = lift(A, 2, box)
-    assert deep.is_subset_of(shallow)
+    assert all(d & ~s == 0 for s, d in zip(shallow.rows, deep.rows))
 
 
 def test_induced_box_no_clip():

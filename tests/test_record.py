@@ -21,7 +21,7 @@ from aplift.sets import (
     Union,
     Window,
 )
-from aplift.towers import KIND_QUASI_CENTRAL, Chain, Chain2D, ChainReport, TranslateProbe
+from aplift.towers import KIND_QUASI_CENTRAL, Chain, ChainReport, TranslateProbe
 
 _W = Window(1, 12)
 _A = IntSet(_W, 0b101101)
@@ -46,7 +46,7 @@ SAMPLES = [
     (APWitness(1, 2, 3), "APWitness(a=1, d=2, l=3)"),
     (_BOX, "Box2D(a_lo=1, a_hi=4, d_lo=1, d_hi=2)"),
     (_B, "Set2D(Box2D(a_lo=1, a_hi=4, d_lo=1, d_hi=2), popcount=3, row0=0xa)"),
-    (PwsWitness(2, 3, 4), "PwsWitness(r=2, start=3, length=4)"),
+    (PwsWitness(3), "PwsWitness(start=3)"),
     (VdwResult("false", (0, 1, 1, 0), "exhaustive", 16, 100),
      "VdwResult(verdict='false', coloring=(0, 1, 1, 0), strategy='exhaustive', explored=16,"
      " budget=100)"),
@@ -57,8 +57,6 @@ SAMPLES = [
     (Chain((_A,), KIND_QUASI_CENTRAL),
      "Chain(levels=(IntSet(Window(lo=1, hi=12), popcount=4, bits=0x2d),),"
      " kind='quasi-central-candidate')"),
-    (Chain2D((_B,), 2),
-     "Chain2D(levels=(Set2D(Box2D(a_lo=1, a_hi=4, d_lo=1, d_hi=2), popcount=3, row0=0xa),), l=2)"),
     (TranslateProbe(1, 3, None), "TranslateProbe(level=1, x=3, found_level=None)"),
     (ChainReport(KIND_QUASI_CENTRAL, 5, (TranslateProbe(1, 3, 2),)),
      "ChainReport(kind='quasi-central-candidate', x_max=5,"
@@ -76,7 +74,7 @@ def _values(r: Record) -> tuple:
 def test_samples_cover_every_record_class():
     classes = {c for c in Record.__subclasses__() if c.__module__.startswith("aplift.")}
     assert {type(r) for r, _ in SAMPLES} == classes
-    assert len(classes) == 26
+    assert len(classes) == 25
 
 
 @pytest.mark.parametrize("record, text", SAMPLES, ids=IDS)

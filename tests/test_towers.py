@@ -173,14 +173,16 @@ def test_ap_translate_level_search_vacuous():
     assert ap_translate_level_search(c, 1, 2, 14, 1) == 1
 
 
-def test_lift_chain_and_chain2d():
+def test_lift_chain_lifts_each_level_over_one_box():
     c = power_chain(2, 3, 64)
     box = induced_box(c.window, 2)
-    c2 = lift_chain(c, 2, box)
-    assert c2.depth == 3 and c2.l == 2 and c2.box == box
-    for shallow, deep in zip(c2.levels, c2.levels[1:]):
-        assert deep.is_subset_of(shallow)
-    assert c2.levels[0].rows == lift(c.levels[0], 2, box).rows
+    levels = lift_chain(c, 2, box)
+    assert levels == tuple(lift(level, 2, box) for level in c.levels)
+    assert all(level.box == box for level in levels)
+    # lift is monotone in the set, so the lifted levels decrease
+    for shallow, deep in zip(levels, levels[1:]):
+        assert all(d & ~s == 0 for s, d in zip(shallow.rows, deep.rows))
+    assert any(d != s for s, d in zip(levels[0].rows, levels[1].rows))
 
 
 def test_verify_lifted_translate_powers():
