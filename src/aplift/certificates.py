@@ -16,11 +16,11 @@ beside the kind's search, and for a kind with a set the positions of the set
 that the verifier reads. ``_FIELDS`` holds each field's JSON
 shape, its encoder and its decoder, so a field is written beside where it
 is read: ``certify`` places a kind's values by its row and writes each one
-through its field, and ``verify_certificate`` decodes each one back. This
-module holds no semantic check of its own. Only the evidence that a chain's kind
-adds is written and read by hand, by ``chain_certificate`` and
-``_chain_report``. A certificate that cannot be checked (a failed digest, an
-unknown kind, a malformed payload) raises the one ``CertificateError``.
+through its field, and ``verify_certificate`` decodes each one back; a
+field the row marks optional, such as those of one chain kind, is left out
+when None and read back as None when absent. This module holds no semantic
+check of its own. A certificate that cannot be checked (a failed digest,
+an unknown kind, a malformed payload) raises the one ``CertificateError``.
 
 One asymmetry is deliberate: a "vdw" certificate whose verdict is "false"
 carries the counterexample coloring and is re-checked independently, while a
@@ -52,7 +52,7 @@ from .jsets import JWitness, jset_reads, transfer_reads, verify_jwitness, verify
 from .largeness import PwsWitness, verify_pws_claim, verify_vdw_claim
 from .lift import Box2D, reach, verify_ap, verify_pws2d_claim
 from .sets import IntSet, SetExpr, Window, evaluate
-from .towers import KIND_QUASI_CENTRAL, Chain, ChainReport, TranslateProbe, verify_chain_report
+from .towers import TranslateProbe, verify_chain_report
 
 SCHEMA = "aplift.cert/1"
 
@@ -67,6 +67,7 @@ class _Claim(NamedTuple):
     # for a kind with a set: from its other fields, decoded in row order, the
     # positions (lo, hi) of the set that the verifier reads
     reads: Optional[Callable[..., tuple[int, int]]] = None
+    optional: tuple[str, ...] = ()  # fields left out when None, read back as None
 
 
 _SUMS = "sums landing outside the window count as non-members"
@@ -90,9 +91,11 @@ _CLAIMS = {
         ("set", "family2d"), ("b", "l", "a_max"), ("a1", "a2", "H"), (_SUMS, _CLIPPED),
         verify_transfer_witness, reads=transfer_reads,
     ),
-    # the chain's kind adds r and L, or families and a_max, and shapes the
-    # levels; _chain_report turns them into the report the verifier takes
-    "chain": _Claim(("chain",), ("x_max",), ("translate", "levels"), (_SHIFTED,), verify_chain_report),
+    # a quasi-central chain has r and L, a c-set chain families and a_max
+    "chain": _Claim(
+        ("chain", "families"), ("x_max", "r", "L", "a_max"), ("translate", "levels"), (_SHIFTED,),
+        verify_chain_report, optional=("families", "r", "L", "a_max"),
+    ),
     "vdw": _Claim(
         ("n", "colors", "ap_len"), (), ("verdict", "coloring"), (), verify_vdw_claim,
         recorded=("strategy", "explored"),
@@ -193,6 +196,25 @@ class _Field(NamedTuple):
     encode: Optional[Callable] = None  # None writes the value as it is given
 
 
+def _read_levels(levels: list) -> tuple:
+    """Each level's witnesses, read by its shape: a pws start or a J-set list."""
+    return tuple(
+        (PwsWitness(_field(ev, "pws_start")),) if isinstance(ev, dict) and "pws_start" in ev
+        else tuple(JWitness(_field(w, "a"), _field(w, "H")) for w in _field(ev, "jset"))
+        for ev in levels
+    )
+
+
+def _write_levels(levels) -> list:
+    if levels is None or any(None in wits for wits in levels):
+        raise ValueError("levels must hold every witness of the chain's kind")
+    return [
+        {"pws_start": wits[0].start} if wits and isinstance(wits[0], PwsWitness)
+        else {"jset": [{"a": w.a, "H": list(w.H)} for w in wits]}
+        for wits in levels
+    ]
+
+
 _POSITIVE = _Field(
     "an integer >= 1", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1
 )
@@ -212,18 +234,20 @@ _FIELDS = {
     "set_text": _Field("a text", _is_text, read_intset),
     "family": _Field("a text", _is_text, read_family, write_family),
     "family2d": _Field("a text", _is_text, read_family2d, write_family2d),
-    "chain": _Field("a text", _is_text, read_chain),
+    "chain": _Field("a text", _is_text, read_chain, write_chain),
     "families": _Field(
         "a list of texts",
         lambda v: isinstance(v, list) and all(map(_is_text, v)),
         lambda v: tuple(map(read_family, v)),
+        lambda v: list(map(write_family, v)),
     ),
     "translate": _Field(
         "a list of [level, x, found_level]",
         lambda v: isinstance(v, list) and all(_is_ints(e, 3) for e in v),
         lambda v: tuple(TranslateProbe(*e) for e in v),
+        lambda v: [[p.level, p.x, p.found_level] for p in v],
     ),
-    "levels": _Field("a list", lambda v: isinstance(v, list)),
+    "levels": _Field("a list", lambda v: isinstance(v, list), _read_levels, _write_levels),
     "jset": _Field("a list", lambda v: isinstance(v, list)),
     "verdict": _Field("'true' or 'false'", lambda v: v in ("true", "false")),
     "coloring": _Field(
@@ -258,22 +282,25 @@ def _field(section: dict, name: str, reads: Optional[tuple[int, int]] = None):
 
 
 def certify(kind: str, set_inputs: dict, **values) -> dict:
-    """Certificate of any kind but the chain, from the values its row names.
+    """Certificate of any kind, from the values its row names.
 
     ``set_inputs`` holds the set's own keys (``inputs_for_expr`` or
     ``inputs_for_set``), or nothing for a kind without a set. Each value is
     written through its field's encoder, and a written value that its field
-    would not read back raises ``ValueError``: so only a decided vdw verdict
-    is certifiable. The ``recorded`` fields are written as given.
+    would not read back raises ``ValueError``: so only a decided vdw verdict,
+    and only a chain whose probes all absorb and whose levels hold every
+    witness, is certifiable. An optional field whose value is None is left
+    out. The ``recorded`` fields are written as given.
     """
     claim = _CLAIMS.get(kind)
-    if claim is None or kind == "chain":
-        raise ValueError(f"certify builds no {kind!r} certificate (a chain's is chain_certificate's)")
+    if claim is None:
+        raise ValueError(f"certify builds no {kind!r} certificate")
     sections = ([n for n in claim.inputs if n != "set"], claim.params, claim.witness + claim.recorded)
     names = [name for section in sections for name in section]
     if values.keys() != set(names):
         raise TypeError(f"a {kind} certificate takes {', '.join(names)}")
-    inputs, params, witness = ({n: _write(n, values[n]) for n in section} for section in sections)
+    given = {n for n in names if values[n] is not None or n not in claim.optional}
+    inputs, params, witness = ({n: _write(n, values[n]) for n in s if n in given} for s in sections)
     return build_certificate(kind, dict(set_inputs, **inputs), params, witness)
 
 
@@ -289,48 +316,7 @@ def _write(name: str, value):
     return value
 
 
-def chain_certificate(chain: Chain, report: ChainReport) -> dict:
-    """Certificate for a passing chain report (failing runs have no witness)."""
-    if not report.passed:
-        raise ValueError("only passing chain reports are certifiable")
-    inputs: dict = {"chain": write_chain(chain)}
-    params: dict = {"x_max": report.x_max}
-    witness: dict = {
-        "translate": [[p.level, p.x, p.found_level] for p in report.probes]
-    }
-    if report.kind == KIND_QUASI_CENTRAL:
-        params["r"] = report.r
-        params["L"] = report.L
-        witness["levels"] = [{"pws_start": w.start} for w in report.pws_witnesses]
-    else:
-        params["a_max"] = report.a_max
-        inputs["families"] = [write_family(F) for F in report.families]
-        witness["levels"] = [
-            {"jset": [{"a": w.a, "H": list(w.H)} for w in per_level]}
-            for per_level in report.jset_witnesses
-        ]
-    return build_certificate("chain", inputs, params, witness)
-
-
 # --- verification ------------------------------------------------------------
-
-
-def _chain_report(
-    chain: Chain, x_max: int, translate: tuple, levels: list, inputs: dict, params: dict
-) -> ChainReport:
-    """Reshape a chain certificate into the report ``verify_chain_report``
-    re-checks; the chain's kind says which fields its level evidence needs."""
-    if chain.kind == KIND_QUASI_CENTRAL:
-        r, L = _field(params, "r"), _field(params, "L")
-        pws = tuple(PwsWitness(_field(ev, "pws_start")) for ev in levels)
-        return ChainReport(chain.kind, x_max, translate, r=r, L=L, pws_witnesses=pws)
-    jset = tuple(
-        tuple(JWitness(_field(w, "a"), _field(w, "H")) for w in _field(ev, "jset")) for ev in levels
-    )
-    return ChainReport(
-        chain.kind, x_max, translate,
-        families=_field(inputs, "families"), a_max=_field(params, "a_max"), jset_witnesses=jset,
-    )
 
 
 def verify_certificate(cert: dict) -> bool:
@@ -373,11 +359,12 @@ def verify_certificate(cert: dict) -> bool:
     try:
         # every field but the set comes first: they bound the positions it reads
         fields = ((inputs, claim.inputs), (params, claim.params), (witness, claim.witness))
-        args = [_field(section, name) for section, names in fields for name in names if name != "set"]
+        args = [
+            None if name in claim.optional and name not in section else _field(section, name)
+            for section, names in fields for name in names if name != "set"
+        ]
         if "set" in claim.inputs:  # the first input of its row
             args.insert(0, _field(inputs, "set", claim.reads(*args)))
-        if kind == "chain":
-            args = [args[0], _chain_report(*args, inputs, params)]
         return claim.verify(*args)
     except CertificateError:
         raise

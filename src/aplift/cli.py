@@ -194,12 +194,13 @@ def _cmd_tower(args, _: None) -> Finding:
     if chain.kind == KIND_QUASI_CENTRAL:
         if args.r is None or args.L is None or args.family:
             raise ValueError("quasi-central chains take --r and --L, and no --family")
+        families = a_max = None
         report = check_quasicentral(chain, args.r, args.L, args.x_max)
     else:
         if args.r is not None or args.L is not None:
             raise ValueError("c-set chains take --family and --a-max, and no --r or --L")
-        families = [read_family(_read(p)) for p in args.family or []]
-        report = check_cset(chain, families, args.a_max, args.x_max)
+        families, a_max = tuple(read_family(_read(p)) for p in args.family or []), args.a_max
+        report = check_cset(chain, families, a_max, args.x_max)
     failed = [p for p in report.probes if p.found_level is None]
     lines = [
         f"chain kind {chain.kind} depth {chain.depth}"
@@ -207,17 +208,14 @@ def _cmd_tower(args, _: None) -> Finding:
         f"translate probes {len(report.probes)} failed {len(failed)}",
     ]
     lines += [f"  level {p.level} x={p.x}: no absorbing level" for p in failed[:10]]
-    for i, wit in enumerate(report.pws_witnesses or (), start=1):
-        if wit is None:
-            lines.append(f"  level {i}: no (r={args.r}, L={args.L}) witness")
-        else:
-            lines.append(f"  level {i}: witness interval [{wit.start}, {wit.start + args.L - 1}]")
-    for i, per_level in enumerate(report.jset_witnesses or (), start=1):
-        for j, wit in enumerate(per_level, start=1):
-            if wit is None:
-                lines.append(f"  level {i} family {j}: no witness with a <= {args.a_max}")
+    for i, wits in enumerate(report.levels, start=1):
+        for j, wit in enumerate(wits, start=1):
+            if families is None:  # the one pws witness of a quasi-central level
+                lines.append(f"  level {i}: no (r={args.r}, L={args.L}) witness" if wit is None else
+                             f"  level {i}: witness interval [{wit.start}, {wit.start + args.L - 1}]")
             else:
-                lines.append(f"  level {i} family {j}: a={wit.a} H={_braces(wit.H)}")
+                lines.append(f"  level {i} family {j}: no witness with a <= {a_max}" if wit is None
+                             else f"  level {i} family {j}: a={wit.a} H={_braces(wit.H)}")
     if args.probe:
         n, a, b = args.probe
         found = ap_translate_level_search(chain, n, a, b, args.len)
@@ -227,7 +225,10 @@ def _cmd_tower(args, _: None) -> Finding:
             lines.append(f"probe ({a}, {b}) at level {n}: absorbed at level {found}")
     if not report.passed:
         return EXIT_NEGATIVE, lines + ["verdict: FAIL"], None
-    return EXIT_OK, lines + ["verdict: PASS"], dict(chain=chain, report=report)
+    return EXIT_OK, lines + ["verdict: PASS"], dict(
+        chain=chain, families=families, x_max=args.x_max, r=args.r, L=args.L, a_max=a_max,
+        translate=report.probes, levels=report.levels,
+    )
 
 
 def _cmd_vdw(args, _: None) -> Finding:
@@ -245,11 +246,12 @@ def _cmd_vdw(args, _: None) -> Finding:
 
 
 def _cmd_verify(args, _: None) -> Finding:
-    text = _read(args.certificate)
-    # ValueError covers JSONDecodeError and, from Python 3.11, a number of
-    # more than 4,300 digits; RecursionError is JSON nested too deeply
+    with open(args.certificate, "rb") as f:
+        data = f.read()
+    # json.loads reads UTF-8, -16 and -32; ValueError covers other bytes, JSONDecodeError and,
+    # from Python 3.11, a number of over 4,300 digits; RecursionError is JSON nested too deeply
     try:
-        cert = json.loads(text)
+        cert = json.loads(data)
     except (ValueError, RecursionError) as e:
         return EXIT_BAD_CERT, [f"not a certificate: {e}"], None
     try:
@@ -368,11 +370,7 @@ def _run(args) -> int:
     A, set_inputs = _load_set(args) if "set" in args else (None, dict)
     code, lines, values = args.func(args, A)
     if values is not None and args.out:
-        kind = _CERT_KINDS[args.command]
-        if kind == "chain":
-            cert = certs.chain_certificate(**values)
-        else:
-            cert = certs.certify(kind, set_inputs(), **values)
+        cert = certs.certify(_CERT_KINDS[args.command], set_inputs(), **values)
         with open(args.out, "w") as f:
             f.write(certs.dumps_certificate(cert))
         lines.append(f"certificate written to {args.out}")

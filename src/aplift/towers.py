@@ -8,8 +8,9 @@ piecewise syndetic at (r, L) on every level; c-set candidates must admit a
 J-set witness for every supplied family on every level.
 
 This module alone decides what evidence each kind needs: the checks search
-for it and record it, with its parameters, in a ``ChainReport``, and
-``verify_chain_report`` re-checks a report against the chain alone.
+for it and record, in a ``ChainReport``, the probes and each level's
+witnesses, and ``verify_chain_report`` re-checks them, with the parameters
+they were sought at, against the chain alone.
 
 ``ap_translate_level_search`` is the pair-level analogue: given a
 progression a, a+b, ..., a+l*b inside C_n, it finds the least deeper level N
@@ -70,20 +71,13 @@ class TranslateProbe(Record):
 
 
 class ChainReport(Record):
-    """Translate probes plus what the chain's kind needs: r, L and a pws
-    witness per level, or the families, a_max and a J-set witness per level
-    and family. A translate-only report has no evidence and does not pass.
+    """Translate probes, and for each level the witnesses the chain's kind
+    needs: one pws witness, or one J-set witness per family, None where the
+    search found none. A translate-only report has no levels and does not pass.
     """
 
-    kind: str
-    x_max: int
     probes: tuple[TranslateProbe, ...]
-    r: Optional[int] = None
-    L: Optional[int] = None
-    pws_witnesses: Optional[tuple[Optional[PwsWitness], ...]] = None
-    families: tuple[FuncFamily, ...] = ()
-    a_max: Optional[int] = None
-    jset_witnesses: Optional[tuple[tuple[Optional[JWitness], ...], ...]] = None
+    levels: Optional[tuple[tuple[Optional[PwsWitness | JWitness], ...], ...]] = None
 
     @property
     def translate_ok(self) -> bool:
@@ -91,11 +85,7 @@ class ChainReport(Record):
 
     @property
     def evidence_ok(self) -> bool:
-        if self.kind == KIND_QUASI_CENTRAL:
-            wits = self.pws_witnesses
-        else:
-            wits = self.jset_witnesses and sum(self.jset_witnesses, ())
-        return wits is not None and None not in wits
+        return self.levels is not None and all(None not in wits for wits in self.levels)
 
     @property
     def passed(self) -> bool:
@@ -143,7 +133,7 @@ def check_translate_property(chain: Chain, x_max: int) -> ChainReport:
         TranslateProbe(n, x, _first_level_inside(chain, n, chain.levels[n - 1].bits >> x, x))
         for n, x in probe_points(chain, x_max)
     )
-    return ChainReport(kind=chain.kind, x_max=x_max, probes=probes)
+    return ChainReport(probes)
 
 
 def check_quasicentral(chain: Chain, r: int, L: int, x_max: int) -> ChainReport:
@@ -151,8 +141,7 @@ def check_quasicentral(chain: Chain, r: int, L: int, x_max: int) -> ChainReport:
     if chain.kind != KIND_QUASI_CENTRAL:
         raise ValueError(f"chain kind is {chain.kind!r}, not {KIND_QUASI_CENTRAL!r}")
     base = check_translate_property(chain, x_max)
-    wits = tuple(find_pws_witness(level, r, L) for level in chain.levels)
-    return replace(base, r=r, L=L, pws_witnesses=wits)
+    return replace(base, levels=tuple((find_pws_witness(level, r, L),) for level in chain.levels))
 
 
 def check_cset(
@@ -164,41 +153,49 @@ def check_cset(
     """
     if chain.kind != KIND_C_SET:
         raise ValueError(f"chain kind is {chain.kind!r}, not {KIND_C_SET!r}")
+    if a_max < 1:  # jset_witness checks it too, but no family may call it
+        raise ValueError("a_max must be >= 1")
     base = check_translate_property(chain, x_max)
-    wits = tuple(
-        tuple(jset_witness(level, F, a_max) for F in families)
-        for level in chain.levels
-    )
-    return replace(base, families=tuple(families), a_max=a_max, jset_witnesses=wits)
+    return replace(base, levels=tuple(
+        tuple(jset_witness(level, F, a_max) for F in families) for level in chain.levels
+    ))
 
 
-def verify_chain_report(chain: Chain, report: ChainReport) -> bool:
-    """Re-check a report against the chain alone, without any search: the
-    kinds agree, the probes are exactly ``probe_points``, each absorbing
-    level lies in [level, depth] and absorbs, and each level's witnesses
-    hold on it at the report's (r, L), or as J-set claims for each family
-    at the report's a_max.
+def verify_chain_report(
+    chain: Chain, families: Optional[tuple[FuncFamily, ...]], x_max: int,
+    r: Optional[int], L: Optional[int], a_max: Optional[int], probes: tuple[TranslateProbe, ...],
+    levels: Optional[tuple],
+) -> bool:
+    """Re-check a chain's report against the chain alone, without any
+    search: the probes are exactly ``probe_points``, each absorbing level
+    lies in [level, depth] and absorbs, and each level holds the witnesses
+    of the chain's kind, a pws witness at (r, L) or a J-set witness for each
+    family at a_max. The other kind's parameters are not read.
     """
-    if report.kind != chain.kind or not report.passed:
+    if levels is None or len(levels) != chain.depth:
         return False
-    if sorted((p.level, p.x) for p in report.probes) != list(probe_points(chain, report.x_max)):
+    if sorted((p.level, p.x) for p in probes) != list(probe_points(chain, x_max)):
         return False
     if not all(
-        p.level <= p.found_level <= chain.depth
+        p.found_level is not None
+        and p.level <= p.found_level <= chain.depth
         and translate_inclusion_holds(chain, p.found_level, p.level, p.x)
-        for p in report.probes
+        for p in probes
     ):
         return False
-    if report.kind == KIND_QUASI_CENTRAL:
-        return len(report.pws_witnesses) == chain.depth and all(
-            verify_pws_claim(level, report.r, report.L, w.start)
-            for level, w in zip(chain.levels, report.pws_witnesses)
+    if chain.kind == KIND_QUASI_CENTRAL:
+        return None not in (r, L) and all(
+            len(wits) == 1 and isinstance(wits[0], PwsWitness)
+            and verify_pws_claim(level, r, L, wits[0].start)
+            for level, wits in zip(chain.levels, levels)
         )
-    fams = report.families
-    return len(report.jset_witnesses) == chain.depth and all(
-        len(per_level) == len(fams)
-        and all(verify_jwitness(level, F, report.a_max, w.a, w.H) for F, w in zip(fams, per_level))
-        for level, per_level in zip(chain.levels, report.jset_witnesses)
+    return None not in (families, a_max) and all(
+        len(wits) == len(families)
+        and all(
+            isinstance(w, JWitness) and verify_jwitness(level, F, a_max, w.a, w.H)
+            for F, w in zip(families, wits)
+        )
+        for level, wits in zip(chain.levels, levels)
     )
 
 

@@ -16,7 +16,6 @@ from aplift.certificates import (
     CertificateError,
     build_certificate,
     certify,
-    chain_certificate,
     dumps_certificate,
     inputs_for_expr,
     inputs_for_set,
@@ -117,7 +116,7 @@ def make_chain_cert_qc():
                   KIND_QUASI_CENTRAL)
     report = check_quasicentral(chain, r=8, L=64, x_max=16)
     assert report.passed
-    return chain_certificate(chain, report)
+    return certify_chain(chain, report, x_max=16, r=8, L=64)
 
 
 def make_chain_cert_cset():
@@ -126,7 +125,12 @@ def make_chain_cert_cset():
     F = FuncFamily(((1, 2, 3, 4), (2, 4, 6, 8)))
     report = check_cset(chain, [F], a_max=40, x_max=8)
     assert report.passed
-    return chain_certificate(chain, report)
+    return certify_chain(chain, report, x_max=8, families=(F,), a_max=40)
+
+
+def certify_chain(chain, report, x_max, r=None, L=None, families=None, a_max=None):
+    return certify("chain", {}, chain=chain, families=families, x_max=x_max, r=r, L=L,
+                   a_max=a_max, translate=report.probes, levels=report.levels)
 
 
 def certify_vdw(n, colors, k, res):
@@ -287,13 +291,13 @@ def test_chain_certificate_requires_pass():
     report = check_cset(chain, [F], a_max=50, x_max=9)
     assert not report.passed
     with pytest.raises(ValueError):
-        chain_certificate(chain, report)
+        certify_chain(chain, report, x_max=9, families=(F,), a_max=50)
     # a translate-only report carries no evidence of its kind
     chain = Chain(chain.levels, KIND_QUASI_CENTRAL)
     report = check_translate_property(chain, x_max=9)
     assert report.translate_ok
     with pytest.raises(ValueError):
-        chain_certificate(chain, report)
+        certify_chain(chain, report, x_max=9, r=3, L=9)
 
 
 def test_vdw_certificate_requires_decision():
@@ -313,7 +317,9 @@ def test_every_encoder_inverts_its_decoder(builder):
     for section, names in sections:
         for name in names:
             field = _FIELDS.get(name)
-            if field is not None and field.encode is not None:
+            if name not in section:  # the set's own keys, or an optional field left out
+                assert name == "set" or name in claim.optional, name
+            elif field is not None and field.encode is not None:
                 value = section[name] if field.decode is None else field.decode(section[name])
                 assert field.encode(value) == section[name], name
 
@@ -322,10 +328,15 @@ def test_certify_refuses_what_it_could_not_read_back():
     # the unknown vdw verdict is test_vdw_certificate_requires_decision's
     with pytest.raises(ValueError, match="a must be an integer >= 1"):
         certify("ap", evens_inputs(), l=3, a=0, d=2)
-    # a chain's evidence is shaped by chain_certificate, and a field the row
-    # does not name is an error, not a silent drop
-    with pytest.raises(ValueError):
-        certify("chain", {}, chain="", x_max=1, translate=[], levels=[])
+    # only an optional field is left out when None, and it must still be
+    # named; a field the row does not name is an error, not a silent drop
+    chain = Chain((evaluate(Multiples(2), Window(1, 8)),), KIND_QUASI_CENTRAL)
+    report = check_quasicentral(chain, r=2, L=8, x_max=2)
+    with pytest.raises(ValueError, match="x_max must be an integer >= 1"):
+        certify_chain(chain, report, x_max=None, r=2, L=8)
+    with pytest.raises(TypeError):
+        certify("chain", {}, chain=chain, x_max=2, r=2, L=8,
+                translate=report.probes, levels=report.levels)
     with pytest.raises(TypeError):
         certify("ap", evens_inputs(), l=3, a=2, d=2, start=1)
 
@@ -445,6 +456,16 @@ def test_chain_x_max_below_one_is_not_vacuous():
     forged = build_certificate("chain", cert["inputs"], {**cert["params"], "x_max": 0},
                                {**cert["witness"], "translate": []})
     assert rejected(forged)
+
+
+def test_chain_level_holding_a_pws_start_reads_as_one_pws_witness():
+    # each level is read by its shape, not by the chain's kind; a level that
+    # also holds a jset key keeps the reading its pws_start gives it
+    cert = make_chain_cert_qc()
+    levels = [{**ev, "jset": []} for ev in cert["witness"]["levels"]]
+    padded = build_certificate("chain", cert["inputs"], cert["params"],
+                               {**cert["witness"], "levels": levels})
+    assert verify_certificate(padded) is True
 
 
 def full_window_verdict(kind, A, inputs, params, witness):

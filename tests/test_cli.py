@@ -489,10 +489,14 @@ def _cert_to_tamper(kind):
     w = Window(1, 400)
     if kind == "qc":
         chain = Chain(tuple(evaluate(Multiples(2 ** n), w) for n in (1, 2)), KIND_QUASI_CENTRAL)
-        return certificates.chain_certificate(
-            chain, check_quasicentral(chain, r=8, L=64, x_max=16))
-    chain = Chain(tuple(evaluate(Multiples(2 ** n), w) for n in (1, 2)), KIND_C_SET)
-    return certificates.chain_certificate(chain, check_cset(chain, [F], a_max=40, x_max=8))
+        report = check_quasicentral(chain, r=8, L=64, x_max=16)
+        values = dict(families=None, x_max=16, r=8, L=64, a_max=None)
+    else:
+        chain = Chain(tuple(evaluate(Multiples(2 ** n), w) for n in (1, 2)), KIND_C_SET)
+        report = check_cset(chain, [F], a_max=40, x_max=8)
+        values = dict(families=(F,), x_max=8, r=None, L=None, a_max=40)
+    return certificates.certify("chain", {}, chain=chain, translate=report.probes,
+                                levels=report.levels, **values)
 
 
 @pytest.mark.parametrize("kind, section, key, value", [
@@ -509,6 +513,8 @@ def _cert_to_tamper(kind):
     ("qc", "witness", "levels", [1, 2]),
     ("cset", "witness", "levels", [1, 2]),
     ("cset", "witness", "levels", [{"jset": [1]}, {"jset": [1]}]),
+    ("qc", "witness", "levels", [["pws_start"], ["pws_start"]]),
+    ("qc", "witness", "levels", [{"jset": [{"a": 1, "H": [1]}]}] * 2),
 ])
 def test_verify_tampered_types_exit_four(capsys, tmp_path, kind, section, key, value):
     # the digests are recomputed, so only the payload checks can reject these
@@ -585,6 +591,29 @@ def test_raised_errors_print_nothing_on_stdout(capsys, tmp_path, monkeypatch, ar
     code, out, err = run(capsys, *argv, "--out", "c.json")
     assert code == 2 and out == "" and err.startswith("error:")
     assert not (tmp_path / "c.json").exists()
+
+
+def test_tower_cset_a_max_below_one_exits_two(capsys, tmp_path, monkeypatch):
+    # with no --family no J-set search runs, but a_max must still be >= 1
+    monkeypatch.chdir(tmp_path)
+    levels = tuple(evaluate(Multiples(2 ** n), Window(1, 16)) for n in (1, 2))
+    (tmp_path / "cs.txt").write_text(write_chain(Chain(levels, KIND_C_SET)))
+    tower = ["tower", "--chain", "cs.txt", "--a-max", "0", "--x-max", "4"]
+    for argv in (tower, tower + ["--out", "cs.json"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "a_max" in err
+    assert not (tmp_path / "cs.json").exists()
+
+
+def test_verify_file_not_utf8_exit_four(capsys, tmp_path):
+    dest = tmp_path / "notutf8.json"
+    dest.write_bytes(bytes.fromhex("fffe7b7d"))
+    code, out, err = run(capsys, "verify", str(dest))
+    assert code == 4 and out.startswith("not a certificate:") and err == ""
+    # a certificate in UTF-16 is read as JSON reads it
+    cert = _cert_to_tamper("ap")
+    dest.write_bytes(certificates.dumps_certificate(cert).encode("utf-16"))
+    assert run(capsys, "verify", str(dest)) == (0, "valid ap certificate\n", "")
 
 
 def test_unwritable_out_prints_nothing_on_stdout(capsys, tmp_path):

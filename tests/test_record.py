@@ -58,10 +58,8 @@ SAMPLES = [
      "Chain(levels=(IntSet(Window(lo=1, hi=12), popcount=4, bits=0x2d),),"
      " kind='quasi-central-candidate')"),
     (TranslateProbe(1, 3, None), "TranslateProbe(level=1, x=3, found_level=None)"),
-    (ChainReport(KIND_QUASI_CENTRAL, 5, (TranslateProbe(1, 3, 2),)),
-     "ChainReport(kind='quasi-central-candidate', x_max=5,"
-     " probes=(TranslateProbe(level=1, x=3, found_level=2),), r=None, L=None,"
-     " pws_witnesses=None, families=(), a_max=None, jset_witnesses=None)"),
+    (ChainReport((TranslateProbe(1, 3, 2),)),
+     "ChainReport(probes=(TranslateProbe(level=1, x=3, found_level=2),), levels=None)"),
     (DslProgram("multiples(3)", Multiples(3)), "DslProgram(source='multiples(3)', expr=Multiples(k=3))"),
 ]
 IDS = [type(r).__name__ for r, _ in SAMPLES]
@@ -110,8 +108,8 @@ def test_assignment_and_deletion_raise(record, _):
 def test_positional_keyword_and_default_construction():
     assert Window(1, 5) == Window(lo=1, hi=5) == Window(1, hi=5) == Window(hi=5, lo=1)
     assert IntSet(_W) == IntSet(_W, 0) == IntSet(window=_W)
-    report = ChainReport(KIND_QUASI_CENTRAL, 5, (), r=2)
-    assert (report.r, report.L, report.families) == (2, None, ())
+    report = ChainReport((), levels=((PwsWitness(2),),))
+    assert (report.probes, report.levels, ChainReport(()).levels) == ((), ((PwsWitness(2),),), None)
     assert Bernoulli(1, 3).p == 1.0 and type(Bernoulli(1, 3).p) is float
 
 
@@ -145,8 +143,8 @@ def test_replace():
         replace(w, hi=0)
     with pytest.raises(TypeError):
         replace(w, width=3)
-    report = ChainReport(KIND_QUASI_CENTRAL, 5, ())
-    assert replace(report, r=3, L=4) == ChainReport(KIND_QUASI_CENTRAL, 5, (), r=3, L=4)
+    report = ChainReport(())
+    assert replace(report, levels=((),)) == ChainReport((), ((),))
 
 
 def test_positional_patterns():

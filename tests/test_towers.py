@@ -4,7 +4,7 @@ import pytest
 
 from aplift._record import replace
 from aplift.jsets import FuncFamily, JWitness
-from aplift.largeness import find_pws_witness
+from aplift.largeness import PwsWitness, find_pws_witness
 from aplift.lift import Box2D, induced_box, lift
 from aplift.sets import IntSet, Multiples, Window, evaluate
 from aplift.towers import (
@@ -27,6 +27,14 @@ def power_chain(base, depth, hi, kind=KIND_QUASI_CENTRAL):
     w = Window(1, hi)
     return Chain(tuple(evaluate(Multiples(base ** n), w)
                        for n in range(1, depth + 1)), kind)
+
+
+def verify_qc(chain, x_max, r, L, probes, levels):
+    return verify_chain_report(chain, None, x_max, r, L, None, probes, levels)
+
+
+def verify_cset(chain, x_max, families, a_max, probes, levels):
+    return verify_chain_report(chain, families, x_max, None, None, a_max, probes, levels)
 
 
 def test_chain_validation():
@@ -86,11 +94,10 @@ def test_check_translate_property_failure():
 def test_check_quasicentral_powers():
     c = power_chain(2, 5, 1024)
     report = check_quasicentral(c, r=32, L=256, x_max=64)
-    assert report.kind == KIND_QUASI_CENTRAL
     assert report.translate_ok and report.evidence_ok and report.passed
-    assert all(wit is not None for wit in report.pws_witnesses)
-    assert (report.r, report.L) == (32, 256)
-    assert verify_chain_report(c, report)
+    assert len(report.levels) == c.depth
+    assert all(wit is not None for (wit,) in report.levels)
+    assert verify_qc(c, 64, 32, 256, report.probes, report.levels)
     with pytest.raises(ValueError):
         check_quasicentral(power_chain(2, 2, 64, KIND_C_SET), 2, 8, 4)
 
@@ -98,20 +105,18 @@ def test_check_quasicentral_powers():
 def test_check_quasicentral_witness_matches_direct():
     c = power_chain(3, 3, 243)
     report = check_quasicentral(c, r=27, L=81, x_max=27)
-    for level, wit in zip(c.levels, report.pws_witnesses):
+    for level, (wit,) in zip(c.levels, report.levels):
         assert wit == find_pws_witness(level, 27, 81)
-    assert report.passed and verify_chain_report(c, report)
+    assert report.passed and verify_qc(c, 27, 27, 81, report.probes, report.levels)
 
 
 def test_check_cset_passes_with_reachable_family():
     c = power_chain(2, 2, 400, KIND_C_SET)
     F = FuncFamily(((1, 2, 3, 4), (2, 4, 6, 8)))
     report = check_cset(c, [F], a_max=40, x_max=16)
-    assert report.kind == KIND_C_SET
     assert report.passed
-    assert all(w is not None for per in report.jset_witnesses for w in per)
-    assert report.families == (F,) and report.a_max == 40
-    assert verify_chain_report(c, report)
+    assert all(len(per) == 1 and per[0] is not None for per in report.levels)
+    assert verify_cset(c, 16, (F,), 40, report.probes, report.levels)
 
 
 def test_check_cset_frozen_failure_at_level_two():
@@ -121,7 +126,7 @@ def test_check_cset_frozen_failure_at_level_two():
     report = check_cset(c, [F], a_max=50, x_max=9)
     assert report.translate_ok
     assert not report.evidence_ok and not report.passed
-    per_level = report.jset_witnesses
+    per_level = report.levels
     assert per_level[0][0] is not None      # multiples of 3: witness exists
     assert per_level[1][0] is None          # multiples of 9: none
     with pytest.raises(ValueError):
@@ -131,10 +136,13 @@ def test_check_cset_frozen_failure_at_level_two():
 def test_check_cset_translate_only():
     c = power_chain(2, 3, 128, KIND_C_SET)
     report = check_cset(c, [], a_max=10, x_max=8)
-    assert report.jset_witnesses == ((), (), ())  # one empty row per level
+    assert report.levels == ((), (), ())  # one empty row per level
     assert report.evidence_ok
     assert report.passed == report.translate_ok
-    assert verify_chain_report(c, report)
+    assert verify_cset(c, 8, (), 10, report.probes, report.levels)
+    # no family reads a_max, which must still be one the search can take
+    with pytest.raises(ValueError, match="a_max"):
+        check_cset(c, [], a_max=0, x_max=8)
 
 
 def test_ap_translate_level_search_powers():
@@ -227,9 +235,8 @@ def test_report_shapes():
     c = power_chain(2, 2, 64)
     report = check_quasicentral(c, r=4, L=16, x_max=8)
     assert isinstance(report.probes[0], TranslateProbe)
-    assert report.x_max == 8
-    assert report.jset_witnesses is None
-    assert verify_chain_report(c, report)
+    assert all(isinstance(wit, PwsWitness) for (wit,) in report.levels)
+    assert verify_qc(c, 8, 4, 16, report.probes, report.levels)
 
 
 def test_translate_only_report_does_not_pass():
@@ -237,27 +244,31 @@ def test_translate_only_report_does_not_pass():
     c = power_chain(2, 3, 128)
     report = check_translate_property(c, x_max=16)
     assert report.translate_ok and not report.evidence_ok and not report.passed
-    assert not verify_chain_report(c, report)
+    assert report.levels is None
+    assert not verify_qc(c, 16, 4, 16, report.probes, report.levels)
 
 
 def test_verify_chain_report_rejects_forged_reports():
     c = power_chain(2, 3, 256)
     report = check_quasicentral(c, r=8, L=64, x_max=16)
-    assert verify_chain_report(c, report)
+    probes, levels = report.probes, report.levels
+    assert verify_qc(c, 16, 8, 64, probes, levels)
     # a required probe goes missing, or one is recorded twice
-    assert not verify_chain_report(c, replace(report, probes=report.probes[:-1]))
-    assert not verify_chain_report(c, replace(report, probes=report.probes + report.probes[-1:]))
-    # the kinds must agree, and the evidence must be the chain kind's
+    assert not verify_qc(c, 16, 8, 64, probes[:-1], levels)
+    assert not verify_qc(c, 16, 8, 64, probes + probes[-1:], levels)
+    # the evidence must be the chain kind's, at the parameters of its kind
     other = Chain(c.levels, KIND_C_SET)
-    assert not verify_chain_report(other, report)
-    assert not verify_chain_report(other, replace(report, kind=KIND_C_SET))
+    assert not verify_chain_report(other, None, 16, 8, 64, None, probes, levels)
+    assert not verify_cset(other, 16, (), 64, probes, levels)
+    assert not verify_cset(other, 16, (FuncFamily(((2,),)),), 64, probes, levels)
+    assert not verify_qc(c, 16, None, 64, probes, levels)
     # a pws witness at another (r, L), or one whose interval leaves the window
-    wits = report.pws_witnesses
-    assert not verify_chain_report(c, replace(report, r=4))
-    off = replace(wits[0], start=c.window.hi - 62)
-    assert not verify_chain_report(c, replace(report, pws_witnesses=(off,) + wits[1:]))
+    assert not verify_qc(c, 16, 4, 64, probes, levels)
+    (wit,), *rest = levels
+    off = replace(wit, start=c.window.hi - 62)
+    assert not verify_qc(c, 16, 8, 64, probes, ((off,), *rest))
     # one witness short
-    assert not verify_chain_report(c, replace(report, pws_witnesses=wits[:-1]))
+    assert not verify_qc(c, 16, 8, 64, probes, levels[:-1])
 
 
 def test_verify_chain_report_rejects_found_level_below_level():
@@ -267,13 +278,13 @@ def test_verify_chain_report_rejects_found_level_below_level():
     evens = evaluate(Multiples(2), w)
     c = Chain((evens, evens), KIND_QUASI_CENTRAL)
     report = check_quasicentral(c, r=2, L=16, x_max=8)
-    assert verify_chain_report(c, report)
+    assert verify_qc(c, 8, 2, 16, report.probes, report.levels)
     i = next(i for i, p in enumerate(report.probes) if p.level == 2)
     p = report.probes[i]
     assert translate_inclusion_holds(c, 1, p.level, p.x)
     for m in (1, 0, 3):
         probes = report.probes[:i] + (replace(p, found_level=m),) + report.probes[i + 1:]
-        assert not verify_chain_report(c, replace(report, probes=probes))
+        assert not verify_qc(c, 8, 2, 16, probes, report.levels)
 
 
 def test_verify_chain_report_rejects_level_that_does_not_absorb():
@@ -282,33 +293,37 @@ def test_verify_chain_report_rejects_level_that_does_not_absorb():
     c = Chain((IntSet.from_members(w, [1, *range(11, 21)]),
                IntSet.from_members(w, range(11, 21))), KIND_QUASI_CENTRAL)
     report = check_quasicentral(c, r=10, L=10, x_max=20)
-    assert report.passed and verify_chain_report(c, report)
+    assert report.passed and verify_qc(c, 20, 10, 10, report.probes, report.levels)
     assert report.probes[0] == TranslateProbe(1, 1, 2)
     forged = (TranslateProbe(1, 1, 1),) + report.probes[1:]
-    assert not verify_chain_report(c, replace(report, probes=forged))
+    assert not verify_qc(c, 20, 10, 10, forged, report.levels)
 
 
 def test_verify_chain_report_rejects_witness_from_another_level():
     c = power_chain(2, 2, 400, KIND_C_SET)
     F = FuncFamily(((1, 2, 3, 4), (2, 4, 6, 8)))
     report = check_cset(c, [F], a_max=40, x_max=16)
-    assert verify_chain_report(c, report)
-    (w1,), (w2,) = report.jset_witnesses
+    probes = report.probes
+    assert verify_cset(c, 16, (F,), 40, probes, report.levels)
+    (w1,), (w2,) = report.levels
     assert w1 != w2
     # level 2 lies inside level 1, so only the shallow witness fails to move down
-    assert verify_chain_report(c, replace(report, jset_witnesses=((w2,), (w2,))))
-    assert not verify_chain_report(c, replace(report, jset_witnesses=((w1,), (w1,))))
+    assert verify_cset(c, 16, (F,), 40, probes, ((w2,), (w2,)))
+    assert not verify_cset(c, 16, (F,), 40, probes, ((w1,), (w1,)))
     # a witness beyond a_max, a family with no witness, a level with none
-    assert not verify_chain_report(c, replace(report, a_max=w2.a - 1))
-    assert not verify_chain_report(c, replace(report, families=(F, F)))
-    assert not verify_chain_report(c, replace(report, jset_witnesses=((w1,),)))
+    assert not verify_cset(c, 16, (F,), w2.a - 1, probes, report.levels)
+    assert not verify_cset(c, 16, (F, F), 40, probes, report.levels)
+    assert not verify_cset(c, 16, (F,), 40, probes, ((w1,),))
+    # a pws witness where a J-set witness belongs, or no families at all
+    assert not verify_cset(c, 16, (F,), 40, probes, ((PwsWitness(2),),) * 2)
+    assert not verify_cset(c, 16, None, 40, probes, report.levels)
 
 
 def test_verify_chain_report_rejects_H_beyond_horizon():
     c = power_chain(2, 2, 400, KIND_C_SET)
     F = FuncFamily(((4, 8),))
     report = check_cset(c, [F], a_max=40, x_max=16)
-    assert verify_chain_report(c, report)
+    assert verify_cset(c, 16, (F,), 40, report.probes, report.levels)
     # H reaches 3 on a horizon-2 family: a forged report, not an input error
     beyond = ((JWitness(2, (1, 2, 3)),),) * c.depth
-    assert verify_chain_report(c, replace(report, jset_witnesses=beyond)) is False
+    assert verify_cset(c, 16, (F,), 40, report.probes, beyond) is False
