@@ -22,6 +22,10 @@ when None and read back as None when absent. This module holds no semantic
 check of its own. A certificate that cannot be checked (a failed digest,
 an unknown kind, a malformed payload) raises the one ``CertificateError``.
 
+The tables name another module's functions by path (``"lift.verify_ap"``),
+imported on first use: a ``vdw`` certificate loads no DSL, file format,
+J-set or chain code, and an ``ap`` certificate no file format.
+
 One asymmetry is deliberate: a "vdw" certificate whose verdict is "false"
 carries the counterexample coloring and is re-checked independently, while a
 "true" verdict is a universal claim with no succinct witness, so only its
@@ -31,30 +35,29 @@ integrity and well-formedness are checked.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import time
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from ._version import __version__
-from .dsl import parse_dsl, print_expr
-from .fileformats import (
-    read_chain,
-    read_family,
-    read_family2d,
-    read_intset,
-    write_chain,
-    write_family,
-    write_family2d,
-    write_intset,
-)
-from .jsets import JWitness, jset_reads, transfer_reads, verify_jwitness, verify_transfer_witness
-from .largeness import PwsWitness, verify_pws_claim, verify_vdw_claim
-from .lift import Box2D, reach, verify_ap, verify_pws2d_claim
-from .sets import IntSet, SetExpr, Window, evaluate
-from .towers import TranslateProbe, verify_chain_report
+
+if TYPE_CHECKING:
+    from .sets import IntSet, SetExpr, Window
 
 SCHEMA = "aplift.cert/1"
+
+
+def _resolve(path: str):
+    """What ``path`` (``module.name`` in this package) names; the module is imported on first use."""
+    module, _, name = path.partition(".")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
+
+
+def _lazy(path: str) -> Callable:
+    """The function at ``path``, resolved on each call, so a patch or wrapper is seen."""
+    return lambda *args: _resolve(path)(*args)
 
 
 class _Claim(NamedTuple):
@@ -75,29 +78,32 @@ _CLIPPED = "pairs whose progression leaves the window are excluded from the lift
 _SHIFTED = "translate inclusions are checked on the window truncated by each shift"
 _CLAIMS = {
     "ap": _Claim(
-        ("set",), ("l",), ("a", "d"), (), verify_ap,
-        reads=lambda l, a, d: reach(l, Box2D(a, a, d, d)),
+        ("set",), ("l",), ("a", "d"), (), _lazy("lift.verify_ap"),
+        reads=lambda l, a, d: _resolve("lift.reach")(l, _resolve("lift.Box2D")(a, a, d, d)),
     ),
     "pws": _Claim(
-        ("set",), ("r", "L"), ("start",), (), verify_pws_claim,
+        ("set",), ("r", "L"), ("start",), (), _lazy("largeness.verify_pws_claim"),
         reads=lambda r, L, start: (start, start + L - 1),
     ),
     "pws2d": _Claim(
-        ("set",), ("l", "box", "r1", "r2", "L1", "L2"), ("a0", "d0"), (_CLIPPED,), verify_pws2d_claim,
-        reads=lambda l, box, r1, r2, L1, L2, a0, d0: reach(l, Box2D(a0, a0 + L1 - 1, d0, d0 + L2 - 1)),
+        ("set",), ("l", "box", "r1", "r2", "L1", "L2"), ("a0", "d0"), (_CLIPPED,),
+        _lazy("lift.verify_pws2d_claim"),
+        reads=lambda l, box, r1, r2, L1, L2, a0, d0: _resolve("lift.reach")(
+            l, _resolve("lift.Box2D")(a0, a0 + L1 - 1, d0, d0 + L2 - 1)),
     ),
-    "jset": _Claim(("set", "family"), ("a_max",), ("a", "H"), (_SUMS,), verify_jwitness, reads=jset_reads),
+    "jset": _Claim(("set", "family"), ("a_max",), ("a", "H"), (_SUMS,), _lazy("jsets.verify_jwitness"),
+                   reads=_lazy("jsets.jset_reads")),
     "jset2d": _Claim(
         ("set", "family2d"), ("b", "l", "a_max"), ("a1", "a2", "H"), (_SUMS, _CLIPPED),
-        verify_transfer_witness, reads=transfer_reads,
+        _lazy("jsets.verify_transfer_witness"), reads=_lazy("jsets.transfer_reads"),
     ),
     # a quasi-central chain has r and L, a c-set chain families and a_max
     "chain": _Claim(
         ("chain", "families"), ("x_max", "r", "L", "a_max"), ("translate", "levels"), (_SHIFTED,),
-        verify_chain_report, optional=("families", "r", "L", "a_max"),
+        _lazy("towers.verify_chain_report"), optional=("families", "r", "L", "a_max"),
     ),
     "vdw": _Claim(
-        ("n", "colors", "ap_len"), (), ("verdict", "coloring"), (), verify_vdw_claim,
+        ("n", "colors", "ap_len"), (), ("verdict", "coloring"), (), _lazy("largeness.verify_vdw_claim"),
         recorded=("strategy", "explored"),
     ),
 }
@@ -167,15 +173,15 @@ def _indented(v, pad: str) -> str:
 
 
 def inputs_for_expr(expr: SetExpr, window: Window) -> dict:
-    return {"expr": print_expr(expr), "window": [window.lo, window.hi]}
+    return {"expr": _resolve("dsl.print_expr")(expr), "window": [window.lo, window.hi]}
 
 
 def inputs_for_set(A: IntSet) -> dict:
-    return {"set_text": write_intset(A)}
+    return {"set_text": _resolve("fileformats.write_intset")(A)}
 
 
 def inputs_for_set_text(text: str) -> dict:
-    return inputs_for_set(read_intset(text))
+    return inputs_for_set(_resolve("fileformats.read_intset")(text))
 
 
 # --- fields ------------------------------------------------------------------
@@ -198,6 +204,7 @@ class _Field(NamedTuple):
 
 def _read_levels(levels: list) -> tuple:
     """Each level's witnesses, read by its shape: a pws start or a J-set list."""
+    PwsWitness, JWitness = _resolve("largeness.PwsWitness"), _resolve("jsets.JWitness")
     return tuple(
         (PwsWitness(_field(ev, "pws_start")),) if isinstance(ev, dict) and "pws_start" in ev
         else tuple(JWitness(_field(w, "a"), _field(w, "H")) for w in _field(ev, "jset"))
@@ -209,7 +216,7 @@ def _write_levels(levels) -> list:
     if levels is None or any(None in wits for wits in levels):
         raise ValueError("levels must hold every witness of the chain's kind")
     return [
-        {"pws_start": wits[0].start} if wits and isinstance(wits[0], PwsWitness)
+        {"pws_start": wits[0].start} if wits and isinstance(wits[0], _resolve("largeness.PwsWitness"))
         else {"jset": [{"a": w.a, "H": list(w.H)} for w in wits]}
         for wits in levels
     ]
@@ -226,25 +233,31 @@ _FIELDS = {
     ),
     "H": _Field("a list of integers", _is_ints, tuple, list),
     "box": _Field(
-        "[a_lo, a_hi, d_lo, d_hi]", lambda v: _is_ints(v, 4), lambda v: Box2D(*v),
+        "[a_lo, a_hi, d_lo, d_hi]", lambda v: _is_ints(v, 4), lambda v: _resolve("lift.Box2D")(*v),
         lambda b: [b.a_lo, b.a_hi, b.d_lo, b.d_hi],
     ),
-    "expr": _Field("a text", _is_text, lambda v: parse_dsl(v).expr),
-    "window": _Field("[lo, hi]", lambda v: _is_ints(v, 2), lambda v: Window(*v)),
-    "set_text": _Field("a text", _is_text, read_intset),
-    "family": _Field("a text", _is_text, read_family, write_family),
-    "family2d": _Field("a text", _is_text, read_family2d, write_family2d),
-    "chain": _Field("a text", _is_text, read_chain, write_chain),
+    "expr": _Field("a text", _is_text, lambda v: _resolve("dsl.parse_dsl")(v).expr),
+    "window": _Field("[lo, hi]", lambda v: _is_ints(v, 2), lambda v: _resolve("sets.Window")(*v)),
+    "set_text": _Field("a text", _is_text, _lazy("fileformats.read_intset")),
+    "family": _Field(
+        "a text", _is_text, _lazy("fileformats.read_family"), _lazy("fileformats.write_family"),
+    ),
+    "family2d": _Field(
+        "a text", _is_text, _lazy("fileformats.read_family2d"), _lazy("fileformats.write_family2d"),
+    ),
+    "chain": _Field(
+        "a text", _is_text, _lazy("fileformats.read_chain"), _lazy("fileformats.write_chain"),
+    ),
     "families": _Field(
         "a list of texts",
         lambda v: isinstance(v, list) and all(map(_is_text, v)),
-        lambda v: tuple(map(read_family, v)),
-        lambda v: list(map(write_family, v)),
+        lambda v: tuple(map(_resolve("fileformats.read_family"), v)),
+        lambda v: list(map(_resolve("fileformats.write_family"), v)),
     ),
     "translate": _Field(
         "a list of [level, x, found_level]",
         lambda v: isinstance(v, list) and all(_is_ints(e, 3) for e in v),
-        lambda v: tuple(TranslateProbe(*e) for e in v),
+        lambda v: tuple(_resolve("towers.TranslateProbe")(*e) for e in v),
         lambda v: [[p.level, p.x, p.found_level] for p in v],
     ),
     "levels": _Field("a list", lambda v: isinstance(v, list), _read_levels, _write_levels),
@@ -269,7 +282,8 @@ def _field(section: dict, name: str, reads: Optional[tuple[int, int]] = None):
     _require(isinstance(section, dict), f"the evidence holding {name} must be an object")
     if name == "set":
         if "expr" in section:
-            return evaluate(_field(section, "expr"), _field(section, "window").clip(reads))
+            expr = _field(section, "expr")
+            return _resolve("sets.evaluate")(expr, _field(section, "window").clip(reads))
         _require("set_text" in section, "inputs carry neither an expression nor a set text")
         return _field(section, "set_text")
     field = _FIELDS[name]

@@ -10,32 +10,24 @@ Output: a subcommand prints its report lines on stdout, then
 a certificate for every decided finding, a ``vdw`` counterexample (exit 1)
 included. Invalid input (exit 2) prints only ``error: ...`` on stderr and
 writes no file.
+
+Each command imports the modules it runs as it runs, ``certificates`` only for
+``--out`` and ``verify``, so a fresh process compiles no others; ``sets``, which
+every command reaches, is imported with this module.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from . import certificates as certs
 from ._version import __version__
-from .dsl import parse_dsl
-from .fileformats import read_chain, read_family, read_family2d, read_intset
-from .jsets import jset_witness, transfer_witness
-from .largeness import (
-    BUDGET_ENV_VAR,
-    find_pws_witness,
-    longest_member_run,
-    longest_miss_run,
-    min_r_for_L,
-    vdw_check,
-)
-from .lift import Box2D, ap_search, find_pws_witness_2d, induced_box, lift, reach
 from .sets import IntSet, Window, evaluate
-from .towers import KIND_QUASI_CENTRAL, ap_translate_level_search, check_cset, check_quasicentral
+
+if TYPE_CHECKING:
+    from .lift import Box2D
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -57,6 +49,7 @@ def _parse_window(text: str) -> Window:
 
 
 def _parse_box(text: str) -> Box2D:
+    from .lift import Box2D
     try:
         a_part, d_part = text.split("x")
         a_lo, a_hi = (int(v) for v in a_part.split(":"))
@@ -66,8 +59,9 @@ def _parse_box(text: str) -> Box2D:
     return Box2D(a_lo, a_hi, d_lo, d_hi)
 
 
-def _load_set(args) -> tuple[IntSet, Callable[[], dict]]:
-    """Build the working set, and a thunk for its canonical certificate inputs.
+def _load_set(args) -> tuple[IntSet, Callable[..., dict]]:
+    """Build the working set, and its canonical certificate inputs as a
+    function of the ``certificates`` module.
 
     A set file is read whole. An expression is evaluated only on the part of
     --window that the command reads (all of it but for ``lift --box``); the
@@ -76,20 +70,22 @@ def _load_set(args) -> tuple[IntSet, Callable[[], dict]]:
     if args.set_file:
         if args.set or args.window:
             raise ValueError("--set-file takes neither --set nor --window")
-        text = _read(args.set_file)
-        A = read_intset(text)
-        return A, lambda: certs.inputs_for_set(A)
+        from .fileformats import read_intset
+        A = read_intset(_read(args.set_file))
+        return A, lambda certs: certs.inputs_for_set(A)
     if not args.set:
         raise ValueError("need --set EXPR or --set-file PATH")
     if not args.window:
         raise ValueError("--set needs --window LO:HI")
+    from .dsl import parse_dsl
     window = _parse_window(args.window)
     program = parse_dsl(args.set)
     if args.command == "lift" and args.box:
+        from .lift import reach
         A = evaluate(program.expr, window.clip(reach(args.len, _parse_box(args.box))))
     else:
         A = evaluate(program.expr, window)
-    return A, lambda: certs.inputs_for_expr(program.expr, window)
+    return A, lambda certs: certs.inputs_for_expr(program.expr, window)
 
 
 def _read(path: str) -> str:
@@ -108,6 +104,7 @@ def _add_set_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_analyze(args, A: IntSet) -> Finding:
+    from .largeness import find_pws_witness, longest_member_run, longest_miss_run, min_r_for_L
     if args.r is not None and args.L is None:
         raise ValueError("--r needs --L")
     if args.out and args.r is None:
@@ -135,6 +132,7 @@ def _cmd_analyze(args, A: IntSet) -> Finding:
 
 
 def _cmd_ap(args, A: IntSet) -> Finding:
+    from .lift import ap_search
     wit = ap_search(A, args.len)
     if wit is None:
         return EXIT_NEGATIVE, [f"no progression with {args.len + 1} terms"], None
@@ -142,6 +140,7 @@ def _cmd_ap(args, A: IntSet) -> Finding:
 
 
 def _cmd_lift(args, A: IntSet) -> Finding:
+    from .lift import find_pws_witness_2d, induced_box, lift
     box = _parse_box(args.box) if args.box else induced_box(A.window, args.len)
     try:
         B = lift(A, args.len, box)
@@ -170,6 +169,8 @@ def _cmd_lift(args, A: IntSet) -> Finding:
 
 
 def _cmd_jset(args, A: IntSet) -> Finding:
+    from .fileformats import read_family
+    from .jsets import jset_witness
     F = read_family(_read(args.family))
     wit = jset_witness(A, F, args.a_max)
     if wit is None:
@@ -179,6 +180,8 @@ def _cmd_jset(args, A: IntSet) -> Finding:
 
 
 def _cmd_transfer(args, A: IntSet) -> Finding:
+    from .fileformats import read_family2d
+    from .jsets import transfer_witness
     F2D = read_family2d(_read(args.family2d))
     wit = transfer_witness(A, F2D, args.b, args.len, args.a_max)
     if wit is None:
@@ -190,6 +193,8 @@ def _cmd_transfer(args, A: IntSet) -> Finding:
 
 
 def _cmd_tower(args, _: None) -> Finding:
+    from .fileformats import read_chain, read_family
+    from .towers import KIND_QUASI_CENTRAL, ap_translate_level_search, check_cset, check_quasicentral
     chain = read_chain(_read(args.chain))
     if chain.kind == KIND_QUASI_CENTRAL:
         if args.r is None or args.L is None or args.family:
@@ -232,6 +237,7 @@ def _cmd_tower(args, _: None) -> Finding:
 
 
 def _cmd_vdw(args, _: None) -> Finding:
+    from .largeness import BUDGET_ENV_VAR, vdw_check
     res = vdw_check(args.n, args.colors, args.len, budget=args.budget)
     lines = [f"verdict {res.verdict} strategy {res.strategy} explored {res.explored}"]
     if res.verdict == "unknown":
@@ -246,6 +252,8 @@ def _cmd_vdw(args, _: None) -> Finding:
 
 
 def _cmd_verify(args, _: None) -> Finding:
+    import json
+    from . import certificates as certs
     with open(args.certificate, "rb") as f:
         data = f.read()
     # json.loads reads UTF-8, -16 and -32; ValueError covers other bytes, JSONDecodeError and,
@@ -367,16 +375,23 @@ def _run(args) -> int:
     """Load the set, run the command, write its --out, then print its lines
     (none when the command raises or the certificate cannot be written)."""
     # a command with the set flags gets its set; the others get no set inputs
-    A, set_inputs = _load_set(args) if "set" in args else (None, dict)
+    A, set_inputs = _load_set(args) if "set" in args else (None, lambda certs: {})
     code, lines, values = args.func(args, A)
     if values is not None and args.out:
-        cert = certs.certify(_CERT_KINDS[args.command], set_inputs(), **values)
+        from . import certificates as certs
+        cert = certs.certify(_CERT_KINDS[args.command], set_inputs(certs), **values)
         with open(args.out, "w") as f:
             f.write(certs.dumps_certificate(cert))
         lines.append(f"certificate written to {args.out}")
     for line in lines:
         print(line)
     return code
+
+
+def _certificate_errors() -> tuple[type, ...]:
+    """CertificateError once ``certificates``, which alone raises it, is loaded."""
+    certs = sys.modules.get(f"{__package__}.certificates")
+    return (certs.CertificateError,) if certs else ()
 
 
 def run_command(argv: list[str]) -> int:
@@ -386,7 +401,7 @@ def run_command(argv: list[str]) -> int:
         return int(e.code or 0)
     try:
         return _run(args)
-    except certs.CertificateError as e:
+    except _certificate_errors() as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_CERT
     except (ValueError, OSError) as e:

@@ -17,10 +17,18 @@ reading back what was written reproduces the value bit-exactly.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ._bitops import from_indices
-from .jsets import FuncFamily, FuncFamily2D
 from .sets import IntSet, Window
-from .towers import Chain
+
+if TYPE_CHECKING:
+    from .jsets import FuncFamily, FuncFamily2D
+    from .towers import Chain
+
+# Python's limit on int() of a decimal string, as dsl.MAX_DIGITS
+_MAX_DIGITS = 4300
+_DROP_BITS = str.maketrans("", "", "01")
 
 
 def _bitstring(bits: int, width: int) -> str:
@@ -31,7 +39,7 @@ def _parse_bitstring(s: str, width: int, what: str) -> int:
     if len(s) != width:
         raise ValueError(f"{what}: expected {width} bits, got {len(s)}")
     # int(..., 2) alone would also take "_", "+", "-", "0b" and whitespace
-    stray = s.replace("0", "").replace("1", "")
+    stray = s.translate(_DROP_BITS)
     if stray:
         raise ValueError(f"{what}: invalid character {stray[0]!r}")
     return int(s[::-1], 2)
@@ -43,6 +51,9 @@ def _int_fields(parts: list[str], what: str) -> list[int]:
         try:
             out.append(int(p))
         except ValueError:
+            digits = (p[1:] if p[0] in "+-" else p).replace("_", "")
+            if len(digits) > _MAX_DIGITS and digits.isdecimal():  # int() refuses it, echo none
+                raise ValueError(f"{what}: an integer has more than {_MAX_DIGITS} digits")
             raise ValueError(f"{what}: not an integer: {p!r}")
     return out
 
@@ -98,6 +109,7 @@ def write_family(F: FuncFamily) -> str:
 
 
 def read_family(text: str) -> FuncFamily:
+    from .jsets import FuncFamily
     fields, rows = _header(text, "family", "family M T", "family header needs M and T")
     m, T = _int_fields(fields, "family header")
     if len(rows) != m:
@@ -114,6 +126,7 @@ def write_family2d(F: FuncFamily2D) -> str:
 
 
 def read_family2d(text: str) -> FuncFamily2D:
+    from .jsets import FuncFamily2D
     fields, rows = _header(text, "family", "family2d M T", "family2d header needs M and T")
     m, T = _int_fields(fields, "family2d header")
     if len(rows) != 2 * m:
@@ -129,6 +142,7 @@ def write_chain(chain: Chain) -> str:
 
 
 def read_chain(text: str) -> Chain:
+    from .towers import Chain
     fields, lines = _header(text, "chain", "chain K KIND", "chain header needs a depth and a kind")
     (k,) = _int_fields(fields[:1], "chain depth")
     kind = fields[1]

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import aplift
-from aplift import certificates, cli
+from aplift import certificates, cli, fileformats, sets
 from aplift.certificates import verify_certificate
 from aplift.cli import run_command
 from aplift.dsl import MAX_DEPTH, parse_dsl
@@ -243,11 +243,17 @@ def test_set_file_with_set_or_window_exits_two(capsys, tmp_path, extra):
 
 
 def _recording_evaluate(monkeypatch, module):
-    windows = []
+    # the window of each outermost call: sets.evaluate recurses through its own name
+    windows, depth = [], []
 
     def recording(expr, w):
-        windows.append(w)
-        return evaluate(expr, w)
+        if not depth:
+            windows.append(w)
+        depth.append(w)
+        try:
+            return evaluate(expr, w)
+        finally:
+            depth.pop()
 
     monkeypatch.setattr(module, "evaluate", recording)
     return windows
@@ -271,7 +277,7 @@ def test_lift_box_evaluates_only_the_box_reach(capsys, tmp_path, monkeypatch):
     cert = json.loads(dest.read_text())
     assert cert["inputs"]["window"] == [1, 500]
     a0, d0 = cert["witness"]["a0"], cert["witness"]["d0"]
-    cert_windows = _recording_evaluate(monkeypatch, certificates)
+    cert_windows = _recording_evaluate(monkeypatch, sets)
     assert run(capsys, "verify", str(dest))[0] == 0
     assert cert_windows == [Window(a0, a0 + 9 + 2 * (d0 + 2))]
     # a box whose reach misses the window evaluates its first position alone
@@ -328,8 +334,7 @@ def test_set_file_parsed_once(capsys, tmp_path, monkeypatch):
         calls.append(text)
         return read_intset(text)
 
-    monkeypatch.setattr(cli, "read_intset", counting)
-    monkeypatch.setattr(certificates, "read_intset", counting)
+    monkeypatch.setattr(fileformats, "read_intset", counting)
     A = evaluate(Multiples(3), Window(5, 200))
     sf = tmp_path / "set.txt"
     sf.write_text(write_intset(A))
@@ -352,7 +357,7 @@ def test_certificate_built_only_for_out(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(certificates, "build_certificate",
                         counting("build_certificate", certificates.build_certificate))
-    monkeypatch.setattr(certificates, "write_intset", counting("write_intset", write_intset))
+    monkeypatch.setattr(fileformats, "write_intset", counting("write_intset", write_intset))
     sf = tmp_path / "set.txt"
     sf.write_text(write_intset(evaluate(Multiples(2), Window(1, 100))))
     code, out, _ = run(capsys, "ap", "--set-file", str(sf), "--len", "3")
@@ -690,6 +695,19 @@ def test_verify_number_of_more_than_4300_digits_exit_four(capsys, tmp_path):
     assert code == 4 and out.startswith(("not a certificate: ", "invalid: ")) and not err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["ap", "--len", "1", "--set-file"], "1 2 " + "7" * 5000 + "\n"),
+    (["jset", "--set", "multiples(2)", "--window", "1:100", "--family"],
+     "family 1 2\n1 " + "7" * 5000 + "\n"),
+], ids=["set", "family"])
+def test_file_integer_of_more_than_4300_digits_exits_two(capsys, tmp_path, argv, text):
+    # int() refuses such a number as it refuses a non-integer; the error says why, without its digits
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "") and "has more than 4300 digits" in err and len(err) < 100
+
+
 _WIDE = 10 ** 10
 
 
@@ -805,6 +823,29 @@ def test_cli_import_path_skips_heavy_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
     assert proc.stdout.split() == []
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    # each fresh process loads the aplift modules its command runs, no others
+    src = Path(aplift.__file__).parents[1]
+    code = ("import sys\nfrom aplift.cli import run_command\nrun_command(sys.argv[1:])\n"
+            "print(*[m for m in sys.modules if m.startswith('aplift.')])")
+
+    def loaded(*argv):
+        proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
+                              text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                              timeout=60, check=True)
+        return {m.removeprefix("aplift.") for m in proc.stdout.splitlines()[-1].split()}
+
+    vdw = ["vdw", "--n", "9", "--colors", "2", "--len", "3"]
+    assert loaded(*vdw).isdisjoint({"certificates", "dsl", "fileformats", "jsets", "towers"})
+    modules = loaded(*vdw, "--out", "vdw.json")
+    assert "certificates" in modules
+    assert modules.isdisjoint({"dsl", "fileformats", "jsets", "towers"})
+    ap = ["ap", "--set", "multiples(2)", "--window", "1:100", "--len", "3", "--out", "ap.json"]
+    for argv in (ap, ["verify", "ap.json"]):
+        assert loaded(*argv).isdisjoint({"fileformats", "jsets", "towers", "largeness"})
+    assert (tmp_path / "ap.json").exists()
 
 
 def test_package_import_loads_only_the_version():

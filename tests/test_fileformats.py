@@ -1,5 +1,7 @@
 """Text serialization round-trips for sets, families, and chains."""
 
+import re
+
 import pytest
 
 from aplift.fileformats import (
@@ -63,9 +65,11 @@ def test_intset_bitmap_roundtrip_widths(lo, width):
         assert read_intset(text) == A
 
 
-@pytest.mark.parametrize("row", ["1_0", "+10", "-10", "b10", "0b1", "10x1"])
+@pytest.mark.parametrize("row", ["1_0", "+10", "-10", "b10", "0b1", "10x1", "1\u0661\u00b2", "01\u0660"])
 def test_bitmap_row_rejects_stray_characters(row):
-    with pytest.raises(ValueError, match="invalid character"):
+    # int(..., 2) takes the Arabic-Indic digits U+0660 and U+0661 too; the first stray is named
+    stray = next(c for c in row if c not in "01")
+    with pytest.raises(ValueError, match=re.escape(f"invalid character {stray!r}")):
         read_intset(f"window 1 {len(row)}\n{row}\n")
 
 
