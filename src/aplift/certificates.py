@@ -22,9 +22,10 @@ when None and read back as None when absent. This module holds no semantic
 check of its own. A certificate that cannot be checked (a failed digest,
 an unknown kind, a malformed payload) raises the one ``CertificateError``.
 
-The tables name another module's functions by path (``"lift.verify_ap"``),
-imported on first use: a ``vdw`` certificate loads no DSL, file format,
-J-set or chain code, and an ``ap`` certificate no file format.
+Past ``sets`` and ``lift``, which every command loads, the tables name
+another module's functions by path (``"jsets.verify_jwitness"``), imported
+on first use: a ``vdw`` certificate loads no DSL, file format, J-set or
+chain code, and an ``ap`` certificate no file format.
 
 One asymmetry is deliberate: a "vdw" certificate whose verdict is "false"
 carries the counterexample coloring and is re-checked independently, while a
@@ -39,12 +40,11 @@ import importlib
 import json
 import time
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ._version import __version__
-
-if TYPE_CHECKING:
-    from .sets import IntSet, SetExpr, Window
+from .lift import Box2D, reach, verify_ap, verify_pws2d_claim
+from .sets import IntSet, SetExpr, Window, evaluate
 
 SCHEMA = "aplift.cert/1"
 
@@ -78,18 +78,16 @@ _CLIPPED = "pairs whose progression leaves the window are excluded from the lift
 _SHIFTED = "translate inclusions are checked on the window truncated by each shift"
 _CLAIMS = {
     "ap": _Claim(
-        ("set",), ("l",), ("a", "d"), (), _lazy("lift.verify_ap"),
-        reads=lambda l, a, d: _resolve("lift.reach")(l, _resolve("lift.Box2D")(a, a, d, d)),
+        ("set",), ("l",), ("a", "d"), (), verify_ap,
+        reads=lambda l, a, d: reach(l, Box2D(a, a, d, d)),
     ),
     "pws": _Claim(
         ("set",), ("r", "L"), ("start",), (), _lazy("largeness.verify_pws_claim"),
         reads=lambda r, L, start: (start, start + L - 1),
     ),
     "pws2d": _Claim(
-        ("set",), ("l", "box", "r1", "r2", "L1", "L2"), ("a0", "d0"), (_CLIPPED,),
-        _lazy("lift.verify_pws2d_claim"),
-        reads=lambda l, box, r1, r2, L1, L2, a0, d0: _resolve("lift.reach")(
-            l, _resolve("lift.Box2D")(a0, a0 + L1 - 1, d0, d0 + L2 - 1)),
+        ("set",), ("l", "box", "r1", "r2", "L1", "L2"), ("a0", "d0"), (_CLIPPED,), verify_pws2d_claim,
+        reads=lambda l, box, r1, r2, L1, L2, a0, d0: reach(l, Box2D(a0, a0 + L1 - 1, d0, d0 + L2 - 1)),
     ),
     "jset": _Claim(("set", "family"), ("a_max",), ("a", "H"), (_SUMS,), _lazy("jsets.verify_jwitness"),
                    reads=_lazy("jsets.jset_reads")),
@@ -233,21 +231,18 @@ _FIELDS = {
     ),
     "H": _Field("a list of integers", _is_ints, tuple, list),
     "box": _Field(
-        "[a_lo, a_hi, d_lo, d_hi]", lambda v: _is_ints(v, 4), lambda v: _resolve("lift.Box2D")(*v),
+        "[a_lo, a_hi, d_lo, d_hi]", lambda v: _is_ints(v, 4), lambda v: Box2D(*v),
         lambda b: [b.a_lo, b.a_hi, b.d_lo, b.d_hi],
     ),
     "expr": _Field("a text", _is_text, lambda v: _resolve("dsl.parse_dsl")(v).expr),
-    "window": _Field("[lo, hi]", lambda v: _is_ints(v, 2), lambda v: _resolve("sets.Window")(*v)),
+    "window": _Field("[lo, hi]", lambda v: _is_ints(v, 2), lambda v: Window(*v)),
     "set_text": _Field("a text", _is_text, _lazy("fileformats.read_intset")),
-    "family": _Field(
-        "a text", _is_text, _lazy("fileformats.read_family"), _lazy("fileformats.write_family"),
-    ),
-    "family2d": _Field(
-        "a text", _is_text, _lazy("fileformats.read_family2d"), _lazy("fileformats.write_family2d"),
-    ),
-    "chain": _Field(
-        "a text", _is_text, _lazy("fileformats.read_chain"), _lazy("fileformats.write_chain"),
-    ),
+    "family": _Field("a text", _is_text, _lazy("fileformats.read_family"),
+                     _lazy("fileformats.write_family")),
+    "family2d": _Field("a text", _is_text, _lazy("fileformats.read_family2d"),
+                       _lazy("fileformats.write_family2d")),
+    "chain": _Field("a text", _is_text, _lazy("fileformats.read_chain"),
+                    _lazy("fileformats.write_chain")),
     "families": _Field(
         "a list of texts",
         lambda v: isinstance(v, list) and all(map(_is_text, v)),
@@ -282,8 +277,7 @@ def _field(section: dict, name: str, reads: Optional[tuple[int, int]] = None):
     _require(isinstance(section, dict), f"the evidence holding {name} must be an object")
     if name == "set":
         if "expr" in section:
-            expr = _field(section, "expr")
-            return _resolve("sets.evaluate")(expr, _field(section, "window").clip(reads))
+            return evaluate(_field(section, "expr"), _field(section, "window").clip(reads))
         _require("set_text" in section, "inputs carry neither an expression nor a set text")
         return _field(section, "set_text")
     field = _FIELDS[name]

@@ -12,8 +12,8 @@ included. Invalid input (exit 2) prints only ``error: ...`` on stderr and
 writes no file.
 
 Each command imports the modules it runs as it runs, ``certificates`` only for
-``--out`` and ``verify``, so a fresh process compiles no others; ``sets``, which
-every command reaches, is imported with this module.
+``--out`` and ``verify``, so a fresh process compiles no others; ``sets`` and
+``lift``, which every command reaches, are imported with this module.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from ._version import __version__
+from .lift import Box2D, ap_search, find_pws_witness_2d, induced_box, lift, reach
 from .sets import IntSet, Window, evaluate
-
-if TYPE_CHECKING:
-    from .lift import Box2D
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -49,7 +47,6 @@ def _parse_window(text: str) -> Window:
 
 
 def _parse_box(text: str) -> Box2D:
-    from .lift import Box2D
     try:
         a_part, d_part = text.split("x")
         a_lo, a_hi = (int(v) for v in a_part.split(":"))
@@ -81,7 +78,6 @@ def _load_set(args) -> tuple[IntSet, Callable[..., dict]]:
     window = _parse_window(args.window)
     program = parse_dsl(args.set)
     if args.command == "lift" and args.box:
-        from .lift import reach
         A = evaluate(program.expr, window.clip(reach(args.len, _parse_box(args.box))))
     else:
         A = evaluate(program.expr, window)
@@ -132,7 +128,6 @@ def _cmd_analyze(args, A: IntSet) -> Finding:
 
 
 def _cmd_ap(args, A: IntSet) -> Finding:
-    from .lift import ap_search
     wit = ap_search(A, args.len)
     if wit is None:
         return EXIT_NEGATIVE, [f"no progression with {args.len + 1} terms"], None
@@ -140,7 +135,6 @@ def _cmd_ap(args, A: IntSet) -> Finding:
 
 
 def _cmd_lift(args, A: IntSet) -> Finding:
-    from .lift import find_pws_witness_2d, induced_box, lift
     box = _parse_box(args.box) if args.box else induced_box(A.window, args.len)
     try:
         B = lift(A, args.len, box)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import aplift
-from aplift import certificates, cli, fileformats, sets
+from aplift import certificates, cli, fileformats
 from aplift.certificates import verify_certificate
 from aplift.cli import run_command
 from aplift.dsl import MAX_DEPTH, parse_dsl
@@ -243,17 +243,11 @@ def test_set_file_with_set_or_window_exits_two(capsys, tmp_path, extra):
 
 
 def _recording_evaluate(monkeypatch, module):
-    # the window of each outermost call: sets.evaluate recurses through its own name
-    windows, depth = [], []
+    windows = []
 
     def recording(expr, w):
-        if not depth:
-            windows.append(w)
-        depth.append(w)
-        try:
-            return evaluate(expr, w)
-        finally:
-            depth.pop()
+        windows.append(w)
+        return evaluate(expr, w)
 
     monkeypatch.setattr(module, "evaluate", recording)
     return windows
@@ -277,7 +271,7 @@ def test_lift_box_evaluates_only_the_box_reach(capsys, tmp_path, monkeypatch):
     cert = json.loads(dest.read_text())
     assert cert["inputs"]["window"] == [1, 500]
     a0, d0 = cert["witness"]["a0"], cert["witness"]["d0"]
-    cert_windows = _recording_evaluate(monkeypatch, sets)
+    cert_windows = _recording_evaluate(monkeypatch, certificates)
     assert run(capsys, "verify", str(dest))[0] == 0
     assert cert_windows == [Window(a0, a0 + 9 + 2 * (d0 + 2))]
     # a box whose reach misses the window evaluates its first position alone
