@@ -22,10 +22,10 @@ when None and read back as None when absent. This module holds no semantic
 check of its own. A certificate that cannot be checked (a failed digest,
 an unknown kind, a malformed payload) raises the one ``CertificateError``.
 
-Past ``sets`` and ``lift``, which every command loads, the tables name
-another module's functions by path (``"jsets.verify_jwitness"``), imported
-on first use: a ``vdw`` certificate loads no DSL, file format, J-set or
-chain code, and an ``ap`` certificate no file format.
+``sets`` and ``lift``, which every command loads, are imported here; the
+tables name other modules' functions by path (``"jsets.verify_jwitness"``),
+imported on first use: a ``vdw`` certificate loads no DSL, file format,
+J-set or chain code, and an ``ap`` certificate no file format.
 
 One asymmetry is deliberate: a "vdw" certificate whose verdict is "false"
 carries the counterexample coloring and is re-checked independently, while a
