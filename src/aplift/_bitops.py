@@ -28,16 +28,27 @@ def iter_bit_indices(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-def from_indices(indices: Iterable[int], width: int) -> int:
-    """Bitmap with bit i set for each i in indices; 0 <= i < width, width >= 1.
+def from_indices(indices: Iterable[int], width: int = 0) -> int:
+    """Bitmap with bit i set for each i >= 0 in indices.
 
-    One ASCII digit buffer parsed once: linear in the width, not O(W^2/64).
+    One ASCII digit buffer, bit i at buf[~i], parsed once: linear in the
+    width, not O(W^2/64). A caller that does not know the width gives none:
+    an index past the buffer grows it at its front, up to that index or by
+    a quarter, whichever is more. That is O(W) in all, with at most W/2
+    digits beside the buffer at a time.
     """
     buf = bytearray(b"0") * width
-    top = width - 1
     for i in indices:
-        buf[top - i] = 49  # ord("1")
-    return int(buf, 2)
+        try:
+            buf[~i] = 49  # ord("1")
+        except IndexError:
+            grow = max(i + 1 - len(buf), len(buf) >> 2)
+            if grow > len(buf):  # copying the buffer costs less than the new digits
+                buf = buf.zfill(len(buf) + grow)
+            else:  # a bytes value would be copied into a bytearray first
+                buf[:0] = bytearray(b"0") * grow
+            buf[~i] = 49
+    return int(buf or b"0", 2)
 
 
 def hex_head(bits: int) -> str:

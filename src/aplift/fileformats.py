@@ -2,10 +2,15 @@
 
 Set files come in two forms:
 
-  * element list: whitespace-separated positive integers; the window is
-    taken to be [1, max element];
+  * element list: positive integers separated by any whitespace, newlines
+    included; the window is taken to be [1, max element]. The text is parsed
+    in pieces cut at whitespace, each going straight into the bitmap, so no
+    list of all the members is built;
   * bitmap: a header line ``window LO HI`` followed by one 0/1 string of
     length HI - LO + 1 (leftmost character = LO).
+
+Reading either form costs about two bytes per window position beside the
+text, however many members the set has.
 
 Family files: header ``family M T`` followed by M rows of T positive ints;
 ``family2d M T`` followed by 2M rows, alternating first/second table of each
@@ -17,10 +22,12 @@ reading back what was written reproduces the value bit-exactly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import re
+from itertools import chain
+from typing import TYPE_CHECKING, Iterator
 
 from ._bitops import from_indices
-from .sets import IntSet, Window
+from .sets import MAX_BITS, IntSet, Window
 
 if TYPE_CHECKING:
     from .jsets import FuncFamily, FuncFamily2D
@@ -29,6 +36,13 @@ if TYPE_CHECKING:
 # Python's limit on int() of a decimal string, as dsl.MAX_DIGITS
 _MAX_DIGITS = 4300
 _DROP_BITS = str.maketrans("", "", "01")
+# The longest bad token an error message quotes in full
+_ECHO = 40
+# An element list is parsed in pieces of about this many characters, each
+# cut at whitespace: \s is str.isspace, the test str.split uses
+_PIECE = 8192
+_SPACE = re.compile(r"\s")
+_BITMAP_HEAD = re.compile(r"\s*window(?!\S)")
 
 
 def _bitstring(bits: int, width: int) -> str:
@@ -54,7 +68,8 @@ def _int_fields(parts: list[str], what: str) -> list[int]:
             digits = (p[1:] if p[0] in "+-" else p).replace("_", "")
             if len(digits) > _MAX_DIGITS and digits.isdecimal():  # int() refuses it, echo none
                 raise ValueError(f"{what}: an integer has more than {_MAX_DIGITS} digits")
-            raise ValueError(f"{what}: not an integer: {p!r}")
+            shown = repr(p) if len(p) <= _ECHO else f"{p[:_ECHO]!r}... ({len(p)} characters)"
+            raise ValueError(f"{what}: not an integer: {shown}")
     return out
 
 
@@ -82,24 +97,49 @@ def write_intset(A: IntSet) -> str:
     return f"window {w.lo} {w.hi}\n{_bitstring(A.bits, w.width)}\n"
 
 
-def read_intset(text: str) -> IntSet:
-    tokens = text.split()
-    if not tokens:
+def _element_pieces(text: str) -> Iterator[list[int]]:
+    """The members of an element list, one list per piece of the text.
+
+    Once a member is below 1 or past MAX_BITS no more are yielded, but the
+    rest is still parsed, so the errors come in the order a whole-text parse
+    gives: the first non-integer in the file, then a non-positive member,
+    then the window's width.
+    """
+    low = top = None
+    start, end = 0, len(text)
+    while start < end:
+        cut = _SPACE.search(text, start + _PIECE)
+        stop = cut.start() if cut else end
+        tokens = text[start:stop].split()
+        start = stop
+        if not tokens:
+            continue
+        try:
+            xs = list(map(int, tokens))
+        except ValueError:
+            xs = _int_fields(tokens, "set elements")
+        if low is None:
+            low = top = xs[0]
+        low, top = min(low, min(xs)), max(top, max(xs))
+        if low >= 1 and top <= MAX_BITS:
+            yield xs
+    if low is None:
         raise ValueError("empty set file")
-    if tokens[0] == "window":
+    if low < 1:
+        raise ValueError("set elements must be positive")
+    Window(1, top)  # refuses a window wider than MAX_BITS
+
+
+def read_intset(text: str) -> IntSet:
+    if _BITMAP_HEAD.match(text):
+        tokens = text.split()
         if len(tokens) != 4:
             raise ValueError("bitmap set file needs: window LO HI and one bit row")
         lo, hi = _int_fields(tokens[1:3], "set window")
         w = Window(lo, hi)
         return IntSet(w, _parse_bitstring(tokens[3], w.width, "set bits"))
-    try:
-        xs = list(map(int, tokens))
-    except ValueError:
-        xs = _int_fields(tokens, "set elements")
-    if min(xs) < 1:
-        raise ValueError("set elements must be positive")
-    w = Window(1, max(xs))
-    return IntSet(w, from_indices(xs, w.hi + 1) >> 1)
+    bits = from_indices(chain.from_iterable(_element_pieces(text)))
+    return IntSet(Window(1, bits.bit_length() - 1), bits >> 1)
 
 
 def write_family(F: FuncFamily) -> str:

@@ -4,7 +4,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from aplift._bitops import differences, iter_bit_indices, subset_sums_by_count
+from aplift._bitops import differences, from_indices, iter_bit_indices, subset_sums_by_count
 
 
 @settings(max_examples=200)
@@ -23,3 +23,13 @@ def test_differences_matches_pairs(bits, width):
     members = list(iter_bit_indices(bits))
     expect = {y - x for x in members for y in members if 0 <= y - x < width}
     assert set(iter_bit_indices(differences(bits, width))) == expect
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 300), max_size=40), st.integers(0, 20))
+def test_from_indices_grows_past_the_width(indices, width):
+    # any order: each index past the buffer grows it, by a jump or by a quarter
+    expect = sum(1 << i for i in set(indices))
+    assert from_indices(indices) == expect
+    assert from_indices(indices, max(indices, default=0) + 1 + width) == expect
+    assert from_indices(indices, width) == expect

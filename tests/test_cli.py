@@ -38,13 +38,13 @@ def run(capsys, *argv):
 
 
 @contextlib.contextmanager
-def address_space_cap():
-    """At most 1 GB more address space, so that work sized by a forged
-    number fails with MemoryError instead of exhausting the host."""
+def address_space_cap(extra: int = 1 << 30):
+    """At most extra (1 GB) more address space, so that work sized by a
+    forged number fails with MemoryError instead of exhausting the host."""
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
     with open("/proc/self/statm") as fh:
         used = int(fh.read().split()[0]) * resource.getpagesize()
-    cap = used + (1 << 30)
+    cap = used + extra
     if hard != resource.RLIM_INFINITY:
         cap = min(cap, hard)
     resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
@@ -700,6 +700,34 @@ def test_file_integer_of_more_than_4300_digits_exits_two(capsys, tmp_path, argv,
     path.write_text(text)
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (2, "") and "has more than 4300 digits" in err and len(err) < 100
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["ap", "--len", "1", "--set-file"], "1 " + "x" * 5000 + "\n"),
+    (["jset", "--set", "multiples(2)", "--window", "1:100", "--family"],
+     "family 1 2\n1 " + "x" * 5000 + "\n"),
+], ids=["set", "family"])
+def test_file_long_bad_token_is_quoted_in_part(capsys, tmp_path, argv, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert f"not an integer: {'x' * 40!r}... (5000 characters)" in err and len(err) < 150
+
+
+def test_element_list_read_in_bounded_memory(capsys, tmp_path):
+    # the members go straight into the bitmap; a token list and an int list
+    # of the whole file took about 400 MB here
+    text = " ".join(map(str, range(2, (1 << 23) + 1, 2))) + "\n"
+    with address_space_cap(256 << 20):
+        A = read_intset(text)
+    assert len(A) == 1 << 22 and A.window == Window(1, 1 << 23)
+    assert A.bits == int("10" * (1 << 22), 2)
+    path = tmp_path / "elements.txt"
+    path.write_text(f"1 {(1 << 27) + 1}\n")
+    with address_space_cap(256 << 20):
+        code, out, err = run(capsys, "analyze", "--set-file", str(path))
+    assert (code, out) == (2, "") and "wider than 2^27 bits" in err
 
 
 _WIDE = 10 ** 10

@@ -1,9 +1,12 @@
 """Text serialization round-trips for sets, families, and chains."""
 
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from aplift import fileformats
 from aplift.fileformats import (
     read_chain,
     read_family,
@@ -24,6 +27,7 @@ def test_intset_bitmap_roundtrip():
     text = write_intset(A)
     B = read_intset(text)
     assert B.window == A.window and B.bits == A.bits
+    assert read_intset("\u3000\n " + text) == B  # the header is found after any whitespace
 
 
 def test_intset_elements_roundtrip():
@@ -50,6 +54,55 @@ def test_intset_bad_input():
         read_intset("0 3 5\n")
     with pytest.raises(ValueError, match="set elements: not an integer: 'x'"):
         read_intset("3 x 5\n")
+    with pytest.raises(ValueError, match="set elements: not an integer: 'windowx'"):
+        read_intset("windowx 1 2\n11\n")
+
+
+def _read_elements_whole(text):
+    """The element-list reader that splits the whole text at once: the
+    oracle for the reader that parses it in pieces."""
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("empty set file")
+    try:
+        xs = list(map(int, tokens))
+    except ValueError:
+        xs = fileformats._int_fields(tokens, "set elements")
+    if min(xs) < 1:
+        raise ValueError("set elements must be positive")
+    w = Window(1, max(xs))
+    return IntSet.from_members(w, xs)
+
+
+_SPACES = st.sampled_from([" ", "\n", "\r\n", "\t", "\x0b", "\x0c", "\x1c", "\x85",
+                           "\xa0", "\u2003", "\u2028", "\u3000", "  \n\t"])
+_TOKENS = st.one_of(
+    st.integers(1, 300).map(str),
+    st.integers(1, 300).map(lambda n: f"+{n:04d}"),  # sign and leading zeros
+    st.integers(10, 300).map(lambda n: f"{str(n)[0]}_{str(n)[1:]}"),  # 1_23
+    st.sampled_from(["0", "-0", "-7", "+0", "00"]),
+    st.sampled_from(["x", "1.5", "0x1f", "_1", "1__0", "\u0663", "\u0661\u0660", "\u00b2"]),
+    st.integers((1 << 27) + 1, 1 << 40).map(str),
+    st.integers(1, 3).map(lambda n: str(n) * 4301),
+    st.integers(0, 1).map(lambda n: "x" * (41 + n)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_TOKENS, _SPACES), max_size=12), _SPACES, st.integers(1, 12))
+def test_element_pieces_match_whole_text(pairs, lead, piece):
+    # pieces of a few characters cut most tokens; each cut must move to the next whitespace
+    text = lead + "".join(tok + space for tok, space in pairs)
+    try:
+        expect = _read_elements_whole(text)
+    except ValueError as exc:
+        expect = str(exc)
+    with mock.patch.object(fileformats, "_PIECE", piece):
+        try:
+            got = read_intset(text)
+        except ValueError as exc:
+            got = str(exc)
+    assert got == expect
 
 
 @pytest.mark.parametrize("lo", [1, 40])
