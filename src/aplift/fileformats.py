@@ -22,8 +22,8 @@ reading back what was written reproduces the value bit-exactly.
 
 from __future__ import annotations
 
+import itertools
 import re
-from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
 from ._bitops import from_indices
@@ -138,7 +138,7 @@ def read_intset(text: str) -> IntSet:
         lo, hi = _int_fields(tokens[1:3], "set window")
         w = Window(lo, hi)
         return IntSet(w, _parse_bitstring(tokens[3], w.width, "set bits"))
-    bits = from_indices(chain.from_iterable(_element_pieces(text)))
+    bits = from_indices(itertools.chain.from_iterable(_element_pieces(text)))
     return IntSet(Window(1, bits.bit_length() - 1), bits >> 1)
 
 
