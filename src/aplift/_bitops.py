@@ -20,12 +20,25 @@ def lsb_index(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
+# bitmap bytes per piece of binary text that iter_bit_indices scans
+_SCAN_BYTES = 1 << 13
+
+
 def iter_bit_indices(bits: int) -> Iterator[int]:
-    """Yield indices of set bits in increasing order."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+    """Yield indices of set bits in increasing order.
+
+    O(W + members): the bitmap's bytes are cut into pieces of ``_SCAN_BYTES``
+    and ``str.find`` scans each piece's binary text, lowest bit first, so
+    beside the W/8 bytes at most one piece's text exists at a time.
+    """
+    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    for start in range(0, len(data), _SCAN_BYTES):
+        text = bin(int.from_bytes(data[start:start + _SCAN_BYTES], "little"))[:1:-1]
+        offset = 8 * start
+        i = text.find("1")
+        while i >= 0:
+            yield offset + i
+            i = text.find("1", i + 1)
 
 
 def from_indices(indices: Iterable[int], width: int = 0) -> int:

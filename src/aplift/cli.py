@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success / witness found / certificate valid; 1 negative result
-or absent witness; 2 invalid input; 3 search budget exceeded; 4 certificate
-invalid. The APLIFT_BUDGET environment variable overrides the default search
-budget for the coloring checks.
+or absent witness; 2 invalid input, an input too large for the memory the
+process may use included; 3 search budget exceeded; 4 certificate invalid.
+The APLIFT_BUDGET environment variable overrides the default search budget
+for the coloring checks.
 
 Output: a subcommand prints its report lines on stdout, then
 ``certificate written to PATH`` when ``--out PATH`` is given. ``--out`` writes
@@ -14,6 +15,14 @@ writes no file.
 Each command imports the modules it runs as it runs, ``certificates`` only for
 ``--out`` and ``verify``, so a fresh process compiles no others; ``sets`` and
 ``lift``, which every command reaches, are imported with this module.
+
+The table ``_COMMANDS`` is the single source of the subcommands: each row
+names the command's help line, its handler, the certificate kind its
+``--out`` writes and its arguments. The argparse parser is built from it,
+but only for an argv that asks for help or the version, or that argparse
+alone reads or refuses (abbreviations, ``--flag=value``, "--", negative
+numbers, errors); ``_parse_plain`` reads every other argv from the table
+into the Namespace that parser would return.
 """
 
 from __future__ import annotations
@@ -91,12 +100,6 @@ def _read(path: str) -> str:
 
 def _braces(values) -> str:
     return "{" + ", ".join(str(v) for v in values) + "}"
-
-
-def _add_set_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--set", help="set expression, e.g. 'union(multiples(3), ap(5, 7))'")
-    p.add_argument("--window", help="evaluation window LO:HI")
-    p.add_argument("--set-file", help="read the set from a set file instead")
 
 
 def _cmd_analyze(args, A: IntSet) -> Finding:
@@ -265,9 +268,79 @@ def _cmd_verify(args, _: None) -> Finding:
     return EXIT_OK, [f"valid {cert['kind']} certificate"], None
 
 
+class _Command:
+    """A subcommand: its help line, its handler, the certificate kind that
+    its --out writes (None: no --out) and its arguments, each as the name
+    and keywords that ``add_argument`` takes, in help order."""
+
+    def __init__(self, help: str, run: Callable[..., Finding], kind: Optional[str],
+                 *arguments: tuple[str, dict]) -> None:
+        if kind:
+            article = "an" if kind[0] in "aeiou" else "a"
+            arguments += (("--out", dict(help=f"write {article} {kind} certificate here")),)
+        self.help, self.run, self.kind, self.arguments = help, run, kind, arguments
+
+
+_SET_FLAGS = (
+    ("--set", dict(help="set expression, e.g. 'union(multiples(3), ap(5, 7))'")),
+    ("--window", dict(help="evaluation window LO:HI")),
+    ("--set-file", dict(help="read the set from a set file instead")),
+)
+_LEN = ("--len", dict(type=int, required=True, help="steps l (l+1 terms)"))
+_A_MAX = ("--a-max", dict(type=int, default=64))
+
+_COMMANDS = {
+    "analyze": _Command("largeness report for a set", _cmd_analyze, "pws",
+        *_SET_FLAGS,
+        ("--r", dict(type=int, help="block length for a witness search")),
+        ("--L", dict(type=int, help="interval length for a witness search")),
+    ),
+    "ap": _Command("search a progression inside the set", _cmd_ap, "ap", *_SET_FLAGS, _LEN),
+    "lift": _Command("lift the set to pairs and search a syndetic sub-box", _cmd_lift, "pws2d",
+        *_SET_FLAGS,
+        _LEN,
+        ("--box", dict(help="pair box ALO:AHIxDLO:DHI (default: clip-free box)")),
+        ("--r1", dict(type=int, required=True)),
+        ("--r2", dict(type=int, required=True)),
+        ("--L1", dict(type=int, help="sub-box width (default: full box)")),
+        ("--L2", dict(type=int, help="sub-box height (default: full box)")),
+    ),
+    "jset": _Command("search a simultaneous sum witness", _cmd_jset, "jset",
+        *_SET_FLAGS,
+        ("--family", dict(required=True, help="family file")),
+        _A_MAX,
+    ),
+    "transfer": _Command("transfer a derived-family witness to pairs", _cmd_transfer, "jset2d",
+        *_SET_FLAGS,
+        ("--family2d", dict(required=True, help="family2d file")),
+        ("--b", dict(type=int, default=1, help="step offset (default 1)")),
+        _LEN,
+        _A_MAX,
+    ),
+    "tower": _Command("check a decreasing chain", _cmd_tower, "chain",
+        ("--chain", dict(required=True, help="chain file")),
+        ("--x-max", dict(type=int, default=32)),
+        ("--r", dict(type=int, help="block length (quasi-central)")),
+        ("--L", dict(type=int, help="interval length (quasi-central)")),
+        ("--family", dict(action="append", help="family file (c-set, repeatable)")),
+        _A_MAX,
+        ("--probe", dict(nargs=3, type=int, metavar=("N", "A", "B"),
+                         help="also probe the pair translate at level N with progression (A, B)")),
+        ("--len", dict(type=int, default=2, help="probe depth l (default 2)")),
+    ),
+    "vdw": _Command("coloring check for monochromatic progressions", _cmd_vdw, "vdw",
+        ("--n", dict(type=int, required=True, help="window length")),
+        ("--colors", dict(type=int, required=True)),
+        ("--len", dict(type=int, required=True, help="terms per progression")),
+        ("--budget", dict(type=int, help="search budget override")),
+    ),
+    "verify": _Command("re-check a certificate", _cmd_verify, None,
+        ("certificate", dict(help="certificate file")),
+    ),
+}
+
 # command -> the certificate kind that its --out writes
-_CERT_KINDS = {"analyze": "pws", "ap": "ap", "lift": "pws2d", "jset": "jset",
-               "transfer": "jset2d", "tower": "chain", "vdw": "vdw"}
+_CERT_KINDS = {name: command.kind for name, command in _COMMANDS.items() if command.kind}
 
 
 @functools.cache
@@ -280,80 +353,90 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="largeness report for a set")
-    _add_set_flags(p)
-    p.add_argument("--r", type=int, help="block length for a witness search")
-    p.add_argument("--L", type=int, help="interval length for a witness search")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("ap", help="search a progression inside the set")
-    _add_set_flags(p)
-    p.add_argument("--len", type=int, required=True, help="steps l (l+1 terms)")
-    p.set_defaults(func=_cmd_ap)
-
-    p = sub.add_parser("lift", help="lift the set to pairs and search a syndetic sub-box")
-    _add_set_flags(p)
-    p.add_argument("--len", type=int, required=True, help="steps l (l+1 terms)")
-    p.add_argument("--box", help="pair box ALO:AHIxDLO:DHI (default: clip-free box)")
-    p.add_argument("--r1", type=int, required=True)
-    p.add_argument("--r2", type=int, required=True)
-    p.add_argument("--L1", type=int, help="sub-box width (default: full box)")
-    p.add_argument("--L2", type=int, help="sub-box height (default: full box)")
-    p.set_defaults(func=_cmd_lift)
-
-    p = sub.add_parser("jset", help="search a simultaneous sum witness")
-    _add_set_flags(p)
-    p.add_argument("--family", required=True, help="family file")
-    p.add_argument("--a-max", type=int, default=64, dest="a_max")
-    p.set_defaults(func=_cmd_jset)
-
-    p = sub.add_parser("transfer", help="transfer a derived-family witness to pairs")
-    _add_set_flags(p)
-    p.add_argument("--family2d", required=True, help="family2d file")
-    p.add_argument("--b", type=int, default=1, help="step offset (default 1)")
-    p.add_argument("--len", type=int, required=True, help="steps l (l+1 terms)")
-    p.add_argument("--a-max", type=int, default=64, dest="a_max")
-    p.set_defaults(func=_cmd_transfer)
-
-    p = sub.add_parser("tower", help="check a decreasing chain")
-    p.add_argument("--chain", required=True, help="chain file")
-    p.add_argument("--x-max", type=int, default=32, dest="x_max")
-    p.add_argument("--r", type=int, help="block length (quasi-central)")
-    p.add_argument("--L", type=int, help="interval length (quasi-central)")
-    p.add_argument("--family", action="append", help="family file (c-set, repeatable)")
-    p.add_argument("--a-max", type=int, default=64, dest="a_max")
-    p.add_argument(
-        "--probe",
-        nargs=3,
-        type=int,
-        metavar=("N", "A", "B"),
-        help="also probe the pair translate at level N with progression (A, B)",
-    )
-    p.add_argument("--len", type=int, default=2, help="probe depth l (default 2)")
-    p.set_defaults(func=_cmd_tower)
-
-    p = sub.add_parser("vdw", help="coloring check for monochromatic progressions")
-    p.add_argument("--n", type=int, required=True, help="window length")
-    p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--len", type=int, required=True, help="terms per progression")
-    p.add_argument("--budget", type=int, help="search budget override")
-    p.set_defaults(func=_cmd_vdw)
-
-    p = sub.add_parser("verify", help="re-check a certificate")
-    p.add_argument("certificate", help="certificate file")
-    p.set_defaults(func=_cmd_verify)
-
-    for name, kind in _CERT_KINDS.items():
-        article = "an" if kind[0] in "aeiou" else "a"
-        sub.choices[name].add_argument("--out", help=f"write {article} {kind} certificate here")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, keywords in command.arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=command.run)
     return parser, dict(sub.choices)
 
 
+@functools.cache
+def _plain_spec(name: str) -> tuple[dict, dict, tuple, frozenset]:
+    """A command's arguments as ``_parse_plain`` reads them: each dest's
+    default; each option string's (dest, nargs, int type, append); the
+    positionals in order, in the same form; and the dests that are required,
+    positionals included, as argparse requires them."""
+    defaults, options, positionals, required = {}, {}, [], set()
+    for flag, keywords in _COMMANDS[name].arguments:
+        dest = flag.lstrip("-").replace("-", "_")  # argparse's dest for the flag
+        defaults[dest] = keywords.get("default")
+        reading = (dest, keywords.get("nargs"), keywords.get("type") is int,
+                   keywords.get("action") == "append")
+        if flag.startswith("-"):
+            options[flag] = reading
+        else:
+            positionals.append(reading)
+        if keywords.get("required") or not flag.startswith("-"):
+            required.add(dest)
+    return defaults, options, tuple(positionals), frozenset(required)
+
+
+def _parse_plain(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The full parser's Namespace for a plain argv, read from the command
+    table without building a parser; None for any other argv.
+
+    Plain: a command name, then only exact option strings of that command,
+    each followed by its value (three for ``--probe``), or ``verify``'s one
+    positional; no value starts with "-", every int value converts and
+    every required flag is given. Help, version, abbreviations,
+    ``--flag=value``, "--", negative numbers and every error are argparse's.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    defaults, options, positionals, required = _plain_spec(argv[0])
+    values, missing, positionals = dict(defaults), set(required), list(positionals)
+    i = 1
+    while i < len(argv):
+        if argv[i].startswith("-"):
+            reading = options.get(argv[i])
+            if reading is None:
+                return None
+            i += 1
+        elif positionals:
+            reading = positionals.pop(0)  # its value is this word
+        else:
+            return None
+        dest, nargs, is_int, append = reading
+        taken = argv[i:i + (nargs or 1)]
+        i += len(taken)
+        if len(taken) < (nargs or 1) or any(v.startswith("-") for v in taken):
+            return None
+        if is_int:
+            try:
+                taken = [int(v) for v in taken]
+            except ValueError:
+                return None
+        if nargs:
+            values[dest] = taken
+        elif append:
+            values[dest] = (values[dest] or []) + taken
+        else:
+            values[dest] = taken[0]
+        missing.discard(dest)
+    if missing:
+        return None
+    return argparse.Namespace(command=argv[0], func=_COMMANDS[argv[0]].run, **values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The parser's ``parse_args(argv)`` in one pass: when argv[0] names a
-    command, its subparser alone reads the rest, and what it leaves over is
-    refused by the top-level parser, as the subparsers action would."""
+    """The parser's ``parse_args(argv)``. A plain argv is read straight from
+    the command table; any other builds the parser, and when argv[0] names
+    a command, its subparser alone reads the rest, and what it leaves over
+    is refused by the top-level parser, as the subparsers action would."""
+    args = _parse_plain(argv)
+    if args is not None:
+        return args
     parser, commands = _build_parser()
     sub = commands.get(argv[0]) if argv else None
     if sub is None:
@@ -400,6 +483,10 @@ def run_command(argv: list[str]) -> int:
         return EXIT_BAD_CERT
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except MemoryError:
+        print("error: out of memory: the input needs more than this process may use",
+              file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

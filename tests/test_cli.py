@@ -12,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import aplift
 from aplift import certificates, cli, fileformats
@@ -730,6 +731,27 @@ def test_element_list_read_in_bounded_memory(capsys, tmp_path):
     assert (code, out) == (2, "") and "wider than 2^27 bits" in err
 
 
+def test_out_of_memory_exits_two_with_one_line(tmp_path):
+    # the 2^21 even numbers up to 2^22, 16 MB of text: reading it whole needs
+    # its bytes and its text at once, more than the cap leaves
+    path = tmp_path / "elements.txt"
+    path.write_text(" ".join(map(str, range(2, (1 << 22) + 1, 2))) + "\n")
+    code = ("import resource, sys\n"
+            "from aplift.cli import run_command\n"
+            "used = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (used + (24 << 20), hard))\n"
+            "sys.exit(run_command(sys.argv[1:]))\n")
+    src = Path(aplift.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, "ap", "--set-file", str(path), "--len", "2",
+         "--out", str(tmp_path / "ap.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "ap.json").exists()
+
+
 _WIDE = 10 ** 10
 
 
@@ -806,7 +828,10 @@ ARGV_CORPUS = [
     ["ap", "--set=multiples(2)", "--window=1:10", "--len", "1", "stray"],
     ["lift", "--len", "2", "--r1", "1", "--r2", "1", "--L", "3"],
     ["tower", "--chain", "c.txt", "--probe", "1", "2"],
+    ["tower", "--chain", "c.txt", "--probe", "1", "2", "--len", "3"],
     ["tower", "--chain", "c.txt", "--family", "a", "--family", "b", "--x-max", "-3"],
+    ["ap", "--set-file", "-x", "--len", "2"],
+    ["jset", "--family", "f.txt", "--set", "--", "--a-max", "3"],
 ]
 
 
@@ -821,6 +846,94 @@ def parsed(parse, argv, capsys):
 
 @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
 def test_routed_parse_matches_the_full_parse(capsys, argv):
+    full = parsed(cli._build_parser()[0].parse_args, argv, capsys)
+    assert parsed(cli._parse, argv, capsys) == full
+
+
+# one plain argv per command, every argument of it given
+PLAIN_ARGVS = [
+    ["analyze", "--set", "multiples(2)", "--window", "1:10", "--r", "2", "--L", "4",
+     "--out", "a.json"],
+    ["ap", "--set-file", "s.txt", "--len", "2"],
+    ["lift", "--set", "multiples(3)", "--window", "1:60", "--len", "2", "--box", "1:5x1:5",
+     "--r1", "3", "--r2", "3", "--L1", "4", "--L2", "4", "--out", "l.json"],
+    ["jset", "--set", "multiples(3)", "--window", "1:300", "--family", "f.txt", "--a-max", "10",
+     "--out", "j.json"],
+    ["transfer", "--window", "1:200", "--set", "multiples(2)", "--family2d", "f2.txt", "--b", "2",
+     "--len", "1", "--a-max", "8", "--out", "t.json"],
+    ["tower", "--chain", "c.txt", "--family", "a", "--family", "b", "--x-max", "4", "--r", "2",
+     "--L", "3", "--a-max", "4", "--probe", "1", "2", "3", "--len", "2", "--out", "c.json"],
+    ["vdw", "--n", "8", "--colors", "2", "--len", "3", "--budget", "100", "--out", "v.json"],
+    ["verify", "ap.json"],
+]
+
+
+def _no_parser():
+    raise AssertionError("a plain argv built the argparse parser")
+
+
+def test_plain_argv_of_every_command_builds_no_parser(monkeypatch):
+    assert [argv[0] for argv in PLAIN_ARGVS] == list(cli._COMMANDS)
+    full = [cli._build_parser()[0].parse_args(argv) for argv in PLAIN_ARGVS]
+    monkeypatch.setattr(cli, "_build_parser", _no_parser)
+    assert [cli._parse(argv) for argv in PLAIN_ARGVS] == full
+
+
+# words that argparse alone reads or refuses, put anywhere in an argv
+_STRAY = ["-h", "--help", "--version", "--", "-1", "-x", "x", "1.5", "", "--bogus", "--colors",
+          "--L", "--family", "stray"]
+
+
+@st.composite
+def table_argvs(draw):
+    """An argv drawn from the command table: most of a command's required
+    arguments and some of its others, each once or twice (so store and
+    append flags repeat), in any order, then up to three edits, half of
+    them at a flag: a stray word, as a flag's value or anywhere, a dropped
+    word (a missing value or required flag), an abbreviation, --flag=value,
+    a negative or non-integer value, or a command name that names none."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    ints = st.one_of(st.integers(0, 99).map(str), st.sampled_from(["+7", " 7", "0_1"]))
+    groups = []
+    for flag, keywords in cli._COMMANDS[name].arguments:
+        positional = not flag.startswith("-")
+        values = ints if keywords.get("type") is int else st.text("ab1:. ", max_size=4)
+        # one in ten arguments is left out, required ones included
+        low = int(positional or "required" in keywords)
+        for _ in range(draw(st.integers(low, 2)) if draw(st.integers(0, 9)) else 0):
+            words = [draw(values) for _ in range(keywords.get("nargs", 1))]
+            groups.append(words if positional else [flag, *words])
+    argv = [name] + [word for group in draw(st.permutations(groups)) for word in group]
+    for _ in range(draw(st.integers(0, 3))):
+        flags = [j for j, word in enumerate(argv) if j and word.startswith("--")]
+        i = draw(st.sampled_from(flags) if flags and draw(st.booleans()) else
+                 st.integers(1, len(argv)))
+        word = argv[i] if i < len(argv) else ""
+        edit = draw(st.sampled_from(["stray", "value", "drop", "abbreviate", "join", "negate",
+                                     "garble", "command"]))
+        if edit == "stray":
+            argv.insert(i, draw(st.sampled_from(_STRAY)))
+        elif edit == "value":  # the word after i, as a flag's value
+            argv[i + 1:i + 2] = [draw(st.sampled_from(_STRAY))]
+        elif edit == "drop":  # a word, or a flag with its value
+            del argv[i:i + draw(st.integers(1, 2))]
+        elif edit == "abbreviate" and word.startswith("--") and len(word) > 3:
+            argv[i] = word[:draw(st.integers(3, len(word) - 1))]
+        elif edit == "join" and i + 1 < len(argv):
+            argv[i:i + 2] = [f"{word}={argv[i + 1]}"]
+        elif edit == "negate" and word.isdigit():
+            argv[i] = "-" + word
+        elif edit == "garble" and word.isdigit():
+            argv[i] = draw(st.sampled_from(["1.5", "x", "", "1e3"]))
+        elif edit == "command":
+            argv[0] = draw(st.sampled_from([name[:2], "frobnicate", "-h", "--version"]))
+    return argv
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table_argvs())
+def test_direct_parse_matches_the_full_parse(capsys, argv):
     full = parsed(cli._build_parser()[0].parse_args, argv, capsys)
     assert parsed(cli._parse, argv, capsys) == full
 
