@@ -283,40 +283,50 @@ def bernoulli_member(x: int, p: float, seed: int) -> bool:
     return _mix64((seed + x * _GOLDEN64) & _MASK64) < _threshold(p)
 
 
-# Lane-packed splitmix64 ("SIMD within a register"): lane i holds a 64-bit
-# state at bits [128i, 128i + 64) and headroom for the 64 x 64-bit product above
-# it; each xor-shift is masked back to 64 bits, as it moves lane i + 1's low bits
-# into that headroom. A block of 8 * _LANES positions takes eight passes: pass c
-# puts position 8i + 7 - c in lane i and shifts its miss flag (bit 64) in below
-# the earlier ones, so byte 8 of lane i is the bitmap byte of 8i .. 8i + 7.
-_LANES = 256
+# Lane-packed splitmix64 ("SIMD within a register"): a block of 8n positions,
+# n <= _LANES lanes of 128 bits, takes eight passes. Pass j keeps position 8i + j
+# in lane i as a 64-bit state at bits [128i + j, 128i + j + 64), and shifts each
+# of its lane constants up by j. A multiply's spill past bit 128(i + 1) lies below
+# lane i + 1's state, the bits a xor-shift moves in from lane i + 1 lie above lane
+# i's, and the mask after each clears both. Adding 2^64 - threshold carries into
+# bit 64 + j on a miss, so byte 8 of lane i ends as the bitmap byte of 8i .. 8i + 7.
+# z ^ (z >> 31) keeps z's top 31 bits, so a threshold with its low 33 bits clear
+# skips that last stage: the mix is below such a threshold iff z is.
+_LANES = 512
 _ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
 _LANE_MASK = _ONES * _MASK64
-_FLAGS = _ONES << 64
-_BLOCK_STEP = ((8 * _LANES * _GOLDEN64) & _MASK64) * _ONES
-_LANE_STEPS = int.from_bytes(b"".join(
-    ((8 * i * _GOLDEN64) & _MASK64).to_bytes(16, "little") for i in range(_LANES)), "little")
-_PASSES = tuple((_LANE_STEPS + ((c * _GOLDEN64) & _MASK64) * _ONES) & _LANE_MASK for c in range(7, -1, -1))
+_RAMP, _k = 0, 1  # lane i of _RAMP holds i; each round doubles the lanes filled
+while _k < _LANES:
+    _RAMP, _k = _RAMP | (_RAMP + _k * (_ONES & ((1 << 128 * _k) - 1))) << 128 * _k, 2 * _k
+_LANE_STEPS = (8 * _GOLDEN64 * _RAMP) & _LANE_MASK
+_PASSES = tuple((_LANE_MASK << j, _ONES << 64 + j) for j in range(8))
 
 
 def _bernoulli_bits(p: float, seed: int, w: Window) -> int:
-    # a window narrower than one block runs only the lanes it covers
-    ones = _ONES & ((1 << 128 * -(-w.width // 8)) - 1)
-    lanes = ones * _MASK64
-    passes = [step & lanes for step in _PASSES]
-    # after adding 2^64 - threshold, bit 64 of a lane is set iff mix >= threshold
-    bump = ((1 << 64) - _threshold(p)) * ones
-    state = ((seed + w.lo * _GOLDEN64) & _MASK64) * ones
+    # the blocks share the window evenly, each running only the lanes it needs
+    nblocks = -(-w.width // (8 * _LANES))
+    n = -(-w.width // (8 * nblocks))
+    cut = (1 << 128 * n) - 1
+    threshold = _threshold(p)
+    full = threshold & ((1 << 33) - 1)
+    start, stride, carry, golden = (x * (_ONES & cut) for x in (
+        (seed + w.lo * _GOLDEN64) & _MASK64, (8 * n * _GOLDEN64) & _MASK64, (1 << 64) - threshold, _GOLDEN64))
+    lanes, states, passes = (start + (_LANE_STEPS & cut)) & _LANE_MASK, [], []
+    for j, (mask, flag) in enumerate(_PASSES):
+        states.append(lanes << j)
+        lanes = (lanes + golden) & _LANE_MASK
+        passes.append((mask & cut, stride << j, carry << j, flag & cut))
     blocks = []
-    for _ in range(0, w.width, 8 * _LANES):
+    for _ in range(nblocks):
         misses = 0
-        for step in passes:
-            z = (state + step) & _LANE_MASK
-            z = (((z ^ (z >> 30)) & _LANE_MASK) * _MIX1) & _LANE_MASK
-            z = (((z ^ (z >> 27)) & _LANE_MASK) * _MIX2) & _LANE_MASK
-            misses = (misses << 1) | ((z ^ (z >> 31)) + bump) & _FLAGS
-        blocks.append(misses.to_bytes(16 * _LANES, "little")[8::16])
-        state = (state + _BLOCK_STEP) & _LANE_MASK
+        for j, (mask, step, bump, flag) in enumerate(passes):
+            z, states[j] = states[j], (states[j] + step) & mask
+            z = (((z ^ (z >> 30)) & mask) * _MIX1) & mask
+            z = (((z ^ (z >> 27)) & mask) * _MIX2) & mask
+            if full:
+                z ^= z >> 31
+            misses |= (z + bump) & flag
+        blocks.append(misses.to_bytes(16 * n, "little")[8::16])
     return ~int.from_bytes(b"".join(blocks), "little") & w.mask
 
 

@@ -5,6 +5,7 @@ script (plain set comprehensions over ranges) before these tests were
 written; they are independent of the bitmap implementation.
 """
 
+import random
 from fractions import Fraction
 from hashlib import sha256
 
@@ -169,12 +170,15 @@ def test_bernoulli_lanes_match_member():
     # the lane-packed builder against the scalar definition, around the lane
     # count and the block of 8 * K positions, from starts on and off the grid
     # of bytes (lo - 1 a multiple of 8 or not), and with seeds that need
-    # reducing mod 2^64
+    # reducing mod 2^64. Thresholds with their low 33 bits clear (0.5, 0.25,
+    # 0.75, 2^-31, 1 - 2^-31) skip the last xor-shift; the others (2^-32,
+    # 2^-33, 1/3, 1 - 1e-12) take the full output stage.
     K = sets._LANES
     widths = (1, 63, 64, 65, K - 1, K, K + 1, 2 * K + 1, 8 * K - 1, 8 * K, 8 * K + 1, 16 * K + 3)
     for lo in (1, 2, 8 * K + 5):
         for seed in (0, 2 ** 64 - 1, 2 ** 64 + 5, 2 ** 70):
-            for p in (0.0, 1.0, 0.5, 0.25, 1 / 3, 1 - 1e-12):
+            for p in (0.0, 1.0, 0.5, 0.25, 0.75, 2.0 ** -31, 1 - 2.0 ** -31, 2.0 ** -32, 2.0 ** -33,
+                      1 / 3, 1 - 1e-12):
                 expect = [x for x in range(lo, lo + max(widths)) if bernoulli_member(x, p, seed)]
                 for width in widths:
                     w = Window(lo, lo + width - 1)
@@ -206,9 +210,54 @@ def test_threshold_matches_fraction(p):
 
 def test_bernoulli_bits_pinned():
     # a digest of the bits themselves, so a change to the membership rule fails
-    # here even when the builder and bernoulli_member change together
-    A = evaluate(Bernoulli(0.3, 7), Window(5, 5 + 2 ** 18 - 1))
-    assert sha256(A.bits.to_bytes(2 ** 15, "little")).hexdigest()[:16] == "aa4092ca6e8f7ad8"
+    # here even when the builder and bernoulli_member change together; 0.3
+    # takes the full output stage and 0.5 skips the last xor-shift
+    for p, digest in ((0.3, "aa4092ca6e8f7ad8"), (0.5, "25e9999b1e1bcf73")):
+        A = evaluate(Bernoulli(p, 7), Window(5, 5 + 2 ** 18 - 1))
+        assert sha256(A.bits.to_bytes(2 ** 15, "little")).hexdigest()[:16] == digest, p
+
+
+def _unxorshift(y, s):
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def _mix_input_before_last_stage(y):
+    # splitmix64's output stage up to its last xor-shift, run backwards: both
+    # multipliers are odd, so they are invertible mod 2^64
+    m = 2 ** 64
+    z = _unxorshift(y * pow(sets._MIX2, -1, m) % m, 27)
+    return _unxorshift(z * pow(sets._MIX1, -1, m) % m, 30)
+
+
+def test_bernoulli_last_stage_band():
+    # z ^ (z >> 31) leaves z's top 31 bits alone, so it can change the answer
+    # only where z's top 31 bits equal the threshold's: a 2^-31 chance per
+    # position, which random draws never reach. Seeds are built so that z lies
+    # in that band at a chosen position, once with the answer flipped each way,
+    # at thresholds whose low 33 bits are not clear.
+    rng = random.Random(28)
+    low = 2 ** 33 - 1
+    for p in (0.3, 1 / 3, 1 - 1e-12):
+        t = sets._threshold(p)
+        assert t & low
+        found = {}
+        while len(found) < 2:
+            z = (t & ~low) | rng.getrandbits(33)
+            if (z < t) != ((z ^ (z >> 31)) < t):
+                found.setdefault(z < t, z)
+        K = sets._LANES
+        for short, z in found.items():
+            u = _mix_input_before_last_stage(z)
+            # x alone, at a window's first position, and deep in later blocks
+            # at several lanes and passes
+            for lo, x, hi in ((77, 77, 77), (9, 9, 9 + 8 * K), (1, 4101, 8197), (1000, 13909, 17005)):
+                seed = (u - x * sets._GOLDEN64) % 2 ** 64
+                assert bernoulli_member(x, p, seed) != short
+                got = x in evaluate(Bernoulli(p, seed), Window(lo, hi))
+                assert got == bernoulli_member(x, p, seed), (p, short, x)
 
 
 def test_ap_doubling_matches_brute():
